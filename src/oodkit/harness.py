@@ -15,7 +15,8 @@ from . import metrics as metrics_mod
 from . import postprocess as post
 from . import synthdata
 from . import transformer as tfm
-from .outliers import GrodConfig, GrodState, grod_augment_batch, one_hot
+from .outliers import (FALLBACK_REASONS, GrodConfig, GrodState,
+                       grod_augment_batch, one_hot)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -223,7 +224,7 @@ def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
     acc = float(np.mean(np.argmax(adjusted, axis=1) + 1 == val_y))
     if grod_state is None or not grod_state.initialized:
         return acc
-    snapshot = GrodState.from_dict(grod_state.to_dict())
+    snapshot = copy.deepcopy(grod_state)
     rng = np.random.Generator(np.random.Philox(seed))
     f_all, _, info = grod_augment_batch(feats, val_y, snapshot, grod_cfg, rng)
     if info["n_fake"] == 0:
@@ -280,6 +281,7 @@ def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
     for epoch in range(config.get_int("epochs")):
         order = shuffle_rng.permutation(fit_x.shape[0])
         ep_l1, ep_l2, ep_fake, n_batches = 0.0, 0.0, 0, 0
+        ep_fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
         for start in range(0, len(order), batch_size):
             idx = order[start:start + batch_size]
             if idx.size < 2:
@@ -312,6 +314,8 @@ def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
             ep_l1 += l1
             ep_l2 += l2
             ep_fake += info["n_fake"]
+            if info.get("fallback"):
+                ep_fallbacks[info["fallback"]] += 1
             n_batches += 1
         quality = _val_quality(model, val_x, val_y, grod_state, grod_cfg,
                                seed * 7 + 100 + epoch, k)
@@ -321,6 +325,7 @@ def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
         log.append({"epoch": epoch, "loss_l1": ep_l1 / max(1, n_batches),
                     "loss_l2": ep_l2 / max(1, n_batches),
                     "fake_ood_retained": ep_fake,
+                    "grod_fallbacks": ep_fallbacks,
                     "val_quality": quality})
     if best_params is not None:
         model.params = best_params
@@ -499,7 +504,10 @@ def cmd_train(config, seed, out_dir):
     _save_grod_state(state, _path(out_dir, "grod_state.npz"))
     _write_json(_path(out_dir, "train_log.json"),
                 {"schema_version": REPORT_SCHEMA_VERSION,
-                 "config_hash": config.hash(), "seed": seed, "epochs": log})
+                 "config_hash": config.hash(), "seed": seed, "epochs": log,
+                 "grod": {"enabled": state is not None,
+                          "initialized": state is not None
+                          and state.initialized}})
     return _path(out_dir, "checkpoint.npz")
 
 

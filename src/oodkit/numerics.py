@@ -16,13 +16,9 @@ class TooFewSamples(Exception):
     pass
 
 
-def regularized_inverse(sigma, eps0=1e-4):
-    """Invert a symmetric matrix via Cholesky after adding eps0 on the diagonal.
-
-    Returns (sigma + eps0*I)^-1 computed as (L^-1)^T L^-1 with
-    sigma + eps0*I = L L^T.  Raises NotPositiveDefinite if the
-    factorization fails.
-    """
+def regularized_cholesky(sigma, eps0=1e-4):
+    """Lower Cholesky factor L of sigma + eps0*I = L L^T for a symmetric
+    sigma.  Raises NotPositiveDefinite if the factorization fails."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {sigma.shape}")
@@ -32,12 +28,26 @@ def regularized_inverse(sigma, eps0=1e-4):
     # symmetrize to kill float asymmetry before factorizing
     sym = 0.5 * (sigma + sigma.T) + eps0 * np.eye(sigma.shape[0])
     try:
-        lower = np.linalg.cholesky(sym)
+        return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    linv = solve_triangular(lower, np.eye(sigma.shape[0]), lower=True)
+
+
+def regularized_inverse(sigma, eps0=1e-4):
+    """(sigma + eps0*I)^-1 as (L^-1)^T L^-1 from regularized_cholesky."""
+    lower = regularized_cholesky(sigma, eps0)
+    linv = solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
     inv = linv.T @ linv
     return 0.5 * (inv + inv.T)
+
+
+def mahalanobis_sq_rows(x, mu, lower):
+    """Squared Mahalanobis distance of every row of x to mu, given the lower
+    Cholesky factor L of the covariance: column sums of squares of
+    L^-1 (x - mu)^T, one triangular solve for the whole batch."""
+    z = solve_triangular(lower, (np.asarray(x, dtype=float) - mu).T,
+                         lower=True)
+    return np.einsum("ij,ij->j", z, z)
 
 
 def mahalanobis_sq(x, mu, sigma_inv):

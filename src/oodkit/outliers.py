@@ -2,10 +2,11 @@
 
 Per batch it: picks a class subset sized to the batch budget, EMA-updates
 global/per-class centers, covariances and reference Mahalanobis distances,
-mines projection-boundary samples, pushes them outward to get outlier
-centers, samples Gaussian candidates around those centers, deletes the
-ID-like ones by a Mahalanobis margin, caps the survivors, and attaches
-distance-ratio soft labels over K+1 classes.
+factoring each covariance once for all of the batch's distances, mines
+projection-boundary samples, pushes them outward to get outlier centers,
+samples Gaussian candidates around those centers, deletes the ID-like ones
+by a Mahalanobis margin, caps the survivors, and attaches distance-ratio
+soft labels over K+1 classes.
 """
 
 import math
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (TooFewSamples, mahalanobis_sq, regularized_inverse,
+from .numerics import (NotPositiveDefinite, TooFewSamples, column_softmax,
+                       mahalanobis_sq_rows, regularized_cholesky,
                        sample_covariance)
 from .projections import DegenerateScatter, lda_fit, mine_boundary, pca_fit
 
@@ -24,6 +26,9 @@ class UninitializedState(Exception):
 
 class AllFiltered(Exception):
     """Every candidate was deleted; the batch proceeds ID-only."""
+
+
+FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
 
 
 @dataclass
@@ -113,26 +118,38 @@ def _ema(old, new, rate):
     return (1.0 - rate) * old + rate * new
 
 
-def id_reference_distances(f, y, state, eps0=1e-4):
-    """Batch-mean squared Mahalanobis distances to the tracked centers."""
+def factor_snapshot(state, eps0=1e-4):
+    """One regularized Cholesky factor per tracked center, as
+    {None: (mu_pca, L_pca), c: (mu_c, L_c), ...} with classes sorted.  The
+    distance functions below build it from state when not passed one."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    inv = regularized_inverse(state.cov_pca, eps0)
-    dist_pca = float(np.mean(
-        [mahalanobis_sq(v, state.mu_pca, inv) for v in f]))
-    dist_lda = {}
-    for c in sorted(state.mu_lda):
-        rows = f[y == c]
-        if rows.shape[0] == 0:
-            continue
-        inv_c = regularized_inverse(state.cov_lda[c], eps0)
-        dist_lda[c] = float(np.mean(
-            [mahalanobis_sq(v, state.mu_lda[c], inv_c) for v in rows]))
+    centers = [(None, state.mu_pca, state.cov_pca)] + [
+        (c, state.mu_lda[c], state.cov_lda[c]) for c in sorted(state.mu_lda)]
+    return {key: (mu, regularized_cholesky(cov, eps0))
+            for key, mu, cov in centers}
+
+
+def class_distances(points, snapshot):
+    """(points x tracked classes) squared distances, classes sorted."""
+    return np.column_stack([mahalanobis_sq_rows(points, *snapshot[c])
+                            for c in snapshot if c is not None])
+
+
+def id_reference_distances(f, y, state, eps0=1e-4, snapshot=None):
+    """Batch-mean squared Mahalanobis distances to the tracked centers."""
+    if snapshot is None:
+        snapshot = factor_snapshot(state, eps0)
+    dist_pca = float(np.mean(mahalanobis_sq_rows(f, *snapshot[None])))
+    dist_lda = {c: float(np.mean(mahalanobis_sq_rows(f[y == c], *snapshot[c])))
+                for c in sorted(state.mu_lda) if np.any(y == c)}
     return dist_pca, dist_lda
 
 
 def update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
-    """EMA update of centers, covariances and reference distances."""
+    """EMA update of centers, covariances and reference distances; returns
+    the factor snapshot of the updated covariances.  On NotPositiveDefinite
+    the centers and covariances are updated, the distances are not."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
     state.mu_pca = _ema(state.mu_pca, f.mean(axis=0), gamma_opt)
@@ -142,22 +159,18 @@ def update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
         rows = f[y == c]
         if rows.shape[0] == 0:
             continue
-        mu_new = rows.mean(axis=0)
-        cov_new = _class_cov(rows, eps0, state.dim)
+        mu_new, cov_new = rows.mean(axis=0), _class_cov(rows, eps0, state.dim)
         if c in state.mu_lda:
-            state.mu_lda[c] = _ema(state.mu_lda[c], mu_new, gamma_opt)
-            state.cov_lda[c] = _ema(state.cov_lda[c], cov_new, gamma_opt)
-        else:
-            state.mu_lda[c] = mu_new
-            state.cov_lda[c] = cov_new
-    dist_pca, dist_lda = id_reference_distances(f, y, state, eps0)
+            mu_new = _ema(state.mu_lda[c], mu_new, gamma_opt)
+            cov_new = _ema(state.cov_lda[c], cov_new, gamma_opt)
+        state.mu_lda[c], state.cov_lda[c] = mu_new, cov_new
+    snapshot = factor_snapshot(state, eps0)
+    dist_pca, dist_lda = id_reference_distances(f, y, state, eps0, snapshot)
     state.dist_id_pca = _ema(state.dist_id_pca, dist_pca, gamma_opt)
     for c, d in dist_lda.items():
-        if c in state.dist_id_lda:
-            state.dist_id_lda[c] = _ema(state.dist_id_lda[c], d, gamma_opt)
-        else:
-            state.dist_id_lda[c] = d
-    return state
+        state.dist_id_lda[c] = (_ema(state.dist_id_lda[c], d, gamma_opt)
+                                if c in state.dist_id_lda else d)
+    return snapshot
 
 
 def initialize_state(state, f, y, eps0=1e-4):
@@ -216,42 +229,22 @@ def sample_fake_ood(ood_centers, a, num, rng):
     return np.array(points), provenance
 
 
-def ood_distance(v, state, subset, eps0=1e-4, inv_cache=None):
-    """Distance of a candidate to the tracked ID clusters.
-
-    Returns (distance, nearest_class); nearest_class is None when the class
-    subset is empty (global center route).
-    """
-    if not state.initialized:
-        raise UninitializedState("state not initialized; run warmup first")
-    if inv_cache is None:
-        inv_cache = {}
-    if len(subset) == 0:
-        if "pca" not in inv_cache:
-            inv_cache["pca"] = regularized_inverse(state.cov_pca, eps0)
-        return mahalanobis_sq(v, state.mu_pca, inv_cache["pca"]), None
-    best, best_c = None, None
-    for c in sorted(state.mu_lda):
-        if c not in inv_cache:
-            inv_cache[c] = regularized_inverse(state.cov_lda[c], eps0)
-        d = mahalanobis_sq(v, state.mu_lda[c], inv_cache[c])
-        if best is None or d < best:
-            best, best_c = d, c
-    return best, best_c
-
-
 def filter_fake_ood(candidates, state, lambda_filter, batch_size,
-                    n_id_classes, rng, subset, eps0=1e-4):
+                    n_id_classes, rng, subset, eps0=1e-4, snapshot=None):
     """Delete ID-like candidates by the Mahalanobis margin, then randomly
     downsample the survivors to at most floor(B/K) + 2 points."""
     candidates = np.asarray(candidates, dtype=float)
-    inv_cache = {}
-    dist_ood = np.empty(len(candidates))
-    dist_ref = np.empty(len(candidates))
-    for i, v in enumerate(candidates):
-        d, c = ood_distance(v, state, subset, eps0, inv_cache)
-        dist_ood[i] = d
-        dist_ref[i] = state.dist_id_pca if c is None else state.dist_id_lda[c]
+    if snapshot is None:
+        snapshot = factor_snapshot(state, eps0)
+    if len(subset) == 0:    # global center route
+        dist_ood = mahalanobis_sq_rows(candidates, *snapshot[None])
+        dist_ref = state.dist_id_pca
+    else:                   # nearest tracked class, first one on ties
+        dists = class_distances(candidates, snapshot)
+        nearest = np.argmin(dists, axis=1)
+        dist_ood = dists[np.arange(len(dists)), nearest]
+        refs = np.array([state.dist_id_lda[c] for c in sorted(state.mu_lda)])
+        dist_ref = refs[nearest]
     margin = lambda_filter * (10.0 / len(candidates)) * float(
         np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
     keep = dist_ood >= (1.0 + margin) * dist_ref
@@ -264,7 +257,7 @@ def filter_fake_ood(candidates, state, lambda_filter, batch_size,
     return candidates[kept_idx]
 
 
-def soft_labels(points, state, n_id_classes, eps0=1e-4):
+def soft_labels(points, state, n_id_classes, eps0=1e-4, snapshot=None):
     """Distance-ratio soft labels over K+1 classes, normalized to sum 1.
 
     Per class j the raw label is exp(ratio_j - 1) with
@@ -273,25 +266,16 @@ def soft_labels(points, state, n_id_classes, eps0=1e-4):
     result is the softmax of those exponents, which keeps far points
     concentrated on K+1 without overflow.
     """
-    if not state.initialized:
-        raise UninitializedState("state not initialized; run warmup first")
+    if snapshot is None:
+        snapshot = factor_snapshot(state, eps0)
     classes = sorted(state.mu_lda)
-    inv = {c: regularized_inverse(state.cov_lda[c], eps0) for c in classes}
-    k = n_id_classes
-    labels = np.zeros((len(points), k + 1))
-    for i, v in enumerate(points):
-        exponents = np.full(k + 1, -np.inf)
-        ratios = []
-        for c in classes:
-            d = max(mahalanobis_sq(v, state.mu_lda[c], inv[c]), 1e-12)
-            ratio = state.dist_id_lda[c] / d
-            ratios.append(ratio)
-            exponents[c - 1] = ratio - 1.0
-        exponents[k] = 1.0 - max(ratios)
-        shifted = exponents - np.max(exponents)
-        e = np.exp(shifted)
-        labels[i] = e / e.sum()
-    return labels
+    dists = class_distances(np.asarray(points, dtype=float), snapshot)
+    ratios = (np.array([state.dist_id_lda[c] for c in classes])
+              / np.maximum(dists, 1e-12))
+    exponents = np.full((len(dists), n_id_classes + 1), -np.inf)
+    exponents[:, np.array(classes) - 1] = ratios - 1.0
+    exponents[:, n_id_classes] = 1.0 - ratios.max(axis=1)
+    return column_softmax(exponents.T).T
 
 
 def one_hot(y, n_id_classes):
@@ -305,9 +289,10 @@ def grod_augment_batch(f, y, state, config, rng):
     """Full per-batch pipeline; returns (f_all, labels_all, info).
 
     During warmup the batch passes through unchanged (one-hot labels) while
-    statistics accumulate.  Candidate generation degrades gracefully:
-    an all-filtered batch, too-small batch or degenerate scatter falls back
-    to ID-only output.
+    statistics accumulate.  Degraded batches name their FALLBACK_REASONS
+    entry in info["fallback"]: "not_pd" and "all_filtered" give ID-only
+    output, "degenerate_scatter" mines PCA boundaries only (a later
+    "all_filtered" overwrites it).  A too-small batch is ID-only.
     """
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -327,9 +312,13 @@ def grod_augment_batch(f, y, state, config, rng):
     state.batch_index += 1
     counts = {int(c): int(n) for c, n in zip(*np.unique(y, return_counts=True))}
     kappa, subset = select_classes(counts, batch_size, k)
-    update_centers(state, f, y, subset, config.gamma_opt, config.eps0)
-
-    info = {"warmup": False, "n_fake": 0, "kappa": kappa}
+    info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
+    try:
+        snapshot = update_centers(state, f, y, subset, config.gamma_opt,
+                                  config.eps0)
+    except NotPositiveDefinite:
+        info["fallback"] = "not_pd"
+        return f, id_labels, info
     if batch_size < 2:
         return f, id_labels, info
 
@@ -347,19 +336,21 @@ def grod_augment_batch(f, y, state, config, rng):
                             (mine_boundary(f[y == basis.class_id], basis),
                              basis.class_id))
             except DegenerateScatter:
-                pass
+                info["fallback"] = "degenerate_scatter"
 
     centers = build_ood_centers(boundaries, state, config.a, config.eps)
     num = config.num or max(8, math.ceil(batch_size / (kappa + 1)))
     candidates, _ = sample_fake_ood(centers, config.a, num, rng)
     try:
         kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                               batch_size, k, rng, subset, config.eps0)
+                               batch_size, k, rng, subset, config.eps0,
+                               snapshot)
     except AllFiltered:
+        info["fallback"] = "all_filtered"
         return f, id_labels, info
 
     if kappa > 0 and state.mu_lda:
-        fake_labels = soft_labels(kept, state, k, config.eps0)
+        fake_labels = soft_labels(kept, state, k, config.eps0, snapshot)
     else:
         fake_labels = np.zeros((len(kept), k + 1))
         fake_labels[:, k] = 1.0

@@ -49,10 +49,8 @@ def pca_fit(f, p):
         raise TooFewSamples(f"pca_fit needs n >= 2, got {n}")
     if not 1 <= p <= min(n - 1, s):
         raise ValueError(f"p={p} out of range for n={n}, s={s}")
-    cov = sample_covariance(f)
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1][:p]
-    axes = _fix_signs(vecs[:, order].T)
+    _, vecs = eigh(sample_covariance(f), subset_by_index=[s - p, s - 1])
+    axes = _fix_signs(vecs[:, ::-1].T)   # top p, ascending -> descending
     return ProjectionBasis(kind="PCA", axes=axes, mean=f.mean(axis=0))
 
 

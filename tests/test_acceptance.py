@@ -22,7 +22,7 @@ from oodkit.loss import loss_grad_logits, loss_total
 from oodkit.numerics import mahalanobis_sq, regularized_inverse
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              build_ood_centers, filter_fake_ood,
-                             initialize_state, ood_distance, sample_fake_ood,
+                             initialize_state, sample_fake_ood,
                              select_classes, soft_labels, update_centers)
 from oodkit.projections import DegenerateScatter, lda_fit, mine_boundary, \
     pca_fit
@@ -284,18 +284,25 @@ def test_criterion_6_filter_invariants(capsys):
         batches_checked += 1
         if len(kept) > batch_size // k + 2:
             violations.append(f"batch {i}: cap exceeded ({len(kept)})")
-        dist_ood = np.empty(len(candidates))
-        dist_ref = np.empty(len(candidates))
-        for j, v in enumerate(candidates):
-            d, c = ood_distance(v, state, subset)
-            dist_ood[j] = d
-            dist_ref[j] = (state.dist_id_pca if c is None
-                           else state.dist_id_lda[c])
+        # oracle: scalar distance to the nearest tracked cluster (the
+        # global center when the subset is empty) and its reference
+        inv = {None: regularized_inverse(state.cov_pca)}
+        inv.update((c, regularized_inverse(state.cov_lda[c]))
+                   for c in state.mu_lda)
+
+        def nearest(v):
+            if not subset:
+                return (mahalanobis_sq(v, state.mu_pca, inv[None]),
+                        state.dist_id_pca)
+            d, c = min((mahalanobis_sq(v, state.mu_lda[c], inv[c]), c)
+                       for c in sorted(state.mu_lda))
+            return d, state.dist_id_lda[c]
+
+        dist_ood, dist_ref = np.array([nearest(v) for v in candidates]).T
         margin = config.lambda_filter * (10.0 / len(candidates)) * float(
             np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
         for v in kept:
-            d, c = ood_distance(v, state, subset)
-            ref = state.dist_id_pca if c is None else state.dist_id_lda[c]
+            d, ref = nearest(v)
             if d < (1.0 + margin) * ref - 1e-9:
                 violations.append(f"batch {i}: retention inequality broken")
         labels = soft_labels(kept, state, k) if subset else None

@@ -216,6 +216,34 @@ class TestTrainEval:
         assert state is not None and state.initialized
         assert sum(e["fake_ood_retained"] for e in log) > 0
 
+    def test_not_pd_fallbacks_counted(self, monkeypatch):
+        # every post-warmup training batch meets a non-PD class covariance
+        real = harness.grod_augment_batch
+
+        def poisoned(f, y, state, cfg, rng):
+            if state.initialized:
+                state.cov_lda[1] = -np.eye(state.dim)
+            return real(f, y, state, cfg, rng)
+
+        monkeypatch.setattr(harness, "grod_augment_batch", poisoned)
+        cfg = small_config(grod_enabled="true", gamma=0.1, epochs=2)
+        train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
+        _, _, log = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        # 180 fit rows in batches of 32: 6 per epoch, the first 5 warm up
+        assert [e["grod_fallbacks"] for e in log] == [
+            {"all_filtered": 0, "degenerate_scatter": 0, "not_pd": 1},
+            {"all_filtered": 0, "degenerate_scatter": 0, "not_pd": 6}]
+        assert all(e["fake_ood_retained"] == 0 for e in log)
+
+    def test_warmup_never_finishing_is_reported(self, tmp_path):
+        cfg = small_config(grod_enabled="true", gamma=0.1,
+                           warmup_batches=100)
+        harness.cmd_gen_data(cfg, 79, str(tmp_path))
+        harness.cmd_train(cfg, 79, str(tmp_path))
+        log = json.loads((tmp_path / "train_log.json").read_text())
+        assert log["grod"] == {"enabled": True, "initialized": False}
+        assert all(e["fake_ood_retained"] == 0 for e in log["epochs"])
+
     def test_grod_state_round_trip(self, tmp_path):
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=3)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)

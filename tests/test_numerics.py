@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oodkit.numerics import (DimensionMismatch, NotPositiveDefinite,
                              TooFewSamples, column_softmax, mahalanobis_sq,
-                             regularized_inverse, sample_covariance)
+                             regularized_cholesky, regularized_inverse,
+                             sample_covariance)
 
 
 def random_spd(rng, dim, cond_max=1e6):
@@ -16,6 +17,20 @@ def random_spd(rng, dim, cond_max=1e6):
     vals = np.exp(rng.uniform(0.0, np.log(cond_max), size=dim))
     vals = vals / vals.max()          # spectrum in (1/cond_max, 1]
     return (q * vals) @ q.T
+
+
+class TestRegularizedCholesky:
+    def test_factor_reconstructs_regularized_matrix(self):
+        rng = np.random.default_rng(7)
+        sigma = random_spd(rng, 6)
+        lower = regularized_cholesky(sigma, eps0=1e-4)
+        np.testing.assert_array_equal(lower, np.tril(lower))
+        np.testing.assert_allclose(lower @ lower.T, sigma + 1e-4 * np.eye(6),
+                                   atol=1e-14)
+
+    def test_negative_definite_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            regularized_cholesky(-np.eye(3))
 
 
 class TestRegularizedInverse:

@@ -3,14 +3,18 @@ boundary extension, candidate sampling, filtering and soft labels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oodkit.numerics import regularized_inverse, mahalanobis_sq
+from oodkit.numerics import (mahalanobis_sq, mahalanobis_sq_rows,
+                             regularized_inverse)
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              UninitializedState, build_ood_centers,
+                             class_distances, factor_snapshot,
                              filter_fake_ood, grod_augment_batch,
                              id_reference_distances, initialize_state,
-                             one_hot, ood_distance, sample_fake_ood,
-                             select_classes, soft_labels, update_centers)
+                             one_hot, sample_fake_ood, select_classes,
+                             soft_labels, update_centers)
 from oodkit.projections import BoundarySet
 
 
@@ -27,6 +31,71 @@ def make_state(rng, k=2, dim=2, spread=6.0, n=200):
     state = GrodState(n_id_classes=k, dim=dim)
     initialize_state(state, f, y)
     return state, f, y
+
+
+# Reference copies of the per-row engine that the batched distances replaced:
+# one scalar Mahalanobis distance per (point, center) against an explicit
+# regularized inverse.
+
+def ref_ood_distance(v, state, subset, eps0=1e-4):
+    """(distance, nearest class) of one point; class None when subset is
+    empty (global center route)."""
+    if len(subset) == 0:
+        return mahalanobis_sq(v, state.mu_pca,
+                              regularized_inverse(state.cov_pca, eps0)), None
+    best, best_c = None, None
+    for c in sorted(state.mu_lda):
+        d = mahalanobis_sq(v, state.mu_lda[c],
+                           regularized_inverse(state.cov_lda[c], eps0))
+        if best is None or d < best:
+            best, best_c = d, c
+    return best, best_c
+
+
+def ref_filter_fake_ood(candidates, state, lambda_filter, batch_size,
+                        n_id_classes, rng, subset, eps0=1e-4):
+    candidates = np.asarray(candidates, dtype=float)
+    dist_ood = np.empty(len(candidates))
+    dist_ref = np.empty(len(candidates))
+    for i, v in enumerate(candidates):
+        d, c = ref_ood_distance(v, state, subset, eps0)
+        dist_ood[i] = d
+        dist_ref[i] = state.dist_id_pca if c is None else state.dist_id_lda[c]
+    margin = lambda_filter * (10.0 / len(candidates)) * float(
+        np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
+    kept_idx = np.nonzero(dist_ood >= (1.0 + margin) * dist_ref)[0]
+    if kept_idx.size == 0:
+        raise AllFiltered("no candidate survived the Mahalanobis margin")
+    cap = batch_size // n_id_classes + 2
+    if kept_idx.size > cap:
+        kept_idx = np.sort(rng.choice(kept_idx, size=cap, replace=False))
+    return candidates[kept_idx]
+
+
+def ref_soft_labels(points, state, n_id_classes, eps0=1e-4):
+    classes = sorted(state.mu_lda)
+    inv = {c: regularized_inverse(state.cov_lda[c], eps0) for c in classes}
+    k = n_id_classes
+    labels = np.zeros((len(points), k + 1))
+    for i, v in enumerate(points):
+        exponents = np.full(k + 1, -np.inf)
+        ratios = []
+        for c in classes:
+            d = max(mahalanobis_sq(v, state.mu_lda[c], inv[c]), 1e-12)
+            ratios.append(state.dist_id_lda[c] / d)
+            exponents[c - 1] = ratios[-1] - 1.0
+        exponents[k] = 1.0 - max(ratios)
+        e = np.exp(exponents - np.max(exponents))
+        labels[i] = e / e.sum()
+    return labels
+
+
+def random_cov(rng, dim):
+    """Random SPD covariance with spectrum in (1e-6, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    vals = np.exp(rng.uniform(np.log(1e-6), 0.0, size=dim))
+    vals[rng.integers(dim)] = 1.0
+    return (q * vals) @ q.T
 
 
 class TestSelectClasses:
@@ -188,33 +257,60 @@ class TestSampleFakeOod:
 
 
 class TestOodDistance:
+    """Batched distances from the factor snapshot (global center route and
+    the candidates x classes matrix the filter takes its argmin over)."""
+
     def test_empty_subset_uses_global_center(self):
         rng = np.random.default_rng(12)
         state, _, _ = make_state(rng)
-        d, c = ood_distance(state.mu_pca, state, [])
-        assert c is None
-        assert d <= 1e-6
+        d = mahalanobis_sq_rows(state.mu_pca[None],
+                                *factor_snapshot(state)[None])
+        assert d.shape == (1,)
+        assert d[0] <= 1e-6
 
     def test_at_class_center(self):
         rng = np.random.default_rng(13)
         state, _, _ = make_state(rng)
-        d, c = ood_distance(state.mu_lda[2], state, [1, 2])
-        assert c == 2
-        assert d <= 1e-6
+        dists = class_distances(state.mu_lda[2][None], factor_snapshot(state))
+        assert np.argmin(dists[0]) + 1 == 2
+        assert dists[0].min() <= 1e-6
 
     def test_bruteforce_min_oracle(self):
         rng = np.random.default_rng(14)
         state, _, _ = make_state(rng, k=3, dim=3)
-        for _ in range(20):
-            v = rng.standard_normal(3) * 10
-            d, c = ood_distance(v, state, [1, 2, 3])
+        points = rng.standard_normal((20, 3)) * 10
+        dists = class_distances(points, factor_snapshot(state))
+        for v, row in zip(points, dists):
             per_class = {
                 cc: mahalanobis_sq(v, state.mu_lda[cc],
                                    regularized_inverse(state.cov_lda[cc]))
                 for cc in (1, 2, 3)}
             best = min(per_class, key=per_class.get)
-            assert c == best
-            assert d == pytest.approx(per_class[best], rel=1e-10)
+            assert np.argmin(row) + 1 == best
+            assert row.min() == pytest.approx(per_class[best], rel=1e-10)
+
+    @given(st.sampled_from([1, 2, 8, 64]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_scalar_oracle(self, dim, seed):
+        # spectra down to 1e-6; both the global center route (key None,
+        # used with an empty class subset) and every class center
+        rng = np.random.default_rng(seed)
+        state = GrodState(n_id_classes=2, dim=dim, initialized=True,
+                          mu_pca=rng.standard_normal(dim),
+                          cov_pca=random_cov(rng, dim))
+        for c in (1, 2):
+            state.mu_lda[c] = rng.standard_normal(dim)
+            state.cov_lda[c] = random_cov(rng, dim)
+        snapshot = factor_snapshot(state)
+        points = rng.standard_normal((12, dim)) * rng.uniform(0.01, 10.0)
+        columns = {None: mahalanobis_sq_rows(points, *snapshot[None])}
+        columns.update(zip((1, 2), class_distances(points, snapshot).T))
+        for key, got in columns.items():
+            mu = state.mu_pca if key is None else state.mu_lda[key]
+            cov = state.cov_pca if key is None else state.cov_lda[key]
+            want = [mahalanobis_sq(v, mu, regularized_inverse(cov))
+                    for v in points]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestFilterFakeOod:
@@ -281,14 +377,33 @@ class TestFilterFakeOod:
         dist_ood = np.empty(len(cands))
         dist_ref = np.empty(len(cands))
         for i, v in enumerate(cands):
-            d, c = ood_distance(v, state, [1, 2])
+            d, c = ref_ood_distance(v, state, [1, 2])
             dist_ood[i] = d
             dist_ref[i] = state.dist_id_lda[c]
         margin = 0.1 * (10.0 / len(cands)) * np.sum(
             dist_ood / dist_ref - 1.0)
         for v in kept:
-            d, c = ood_distance(v, state, [1, 2])
+            d, c = ref_ood_distance(v, state, [1, 2])
             assert d >= (1.0 + margin) * state.dist_id_lda[c] - 1e-9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_row_reference(self, seed):
+        # same kept rows as the per-row engine, and the same soft labels
+        rng = np.random.default_rng(600 + seed)
+        k = 2 + seed % 3
+        dim = (2, 3, 8)[seed % 3]
+        state, _, _ = make_state(rng, k=k, dim=dim, spread=4.0)
+        subset = [] if seed % 4 == 0 else list(range(1, k + 1))
+        cands = state.mu_pca + rng.standard_normal((80, dim)) * (4.0 * k)
+        args = (cands, state, 0.1, 64, k)
+        want = ref_filter_fake_ood(
+            *args, np.random.Generator(np.random.Philox(seed)), subset)
+        got = filter_fake_ood(
+            *args, np.random.Generator(np.random.Philox(seed)), subset)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(soft_labels(got, state, k),
+                                   ref_soft_labels(want, state, k),
+                                   rtol=0, atol=1e-10)
 
 
 class TestSoftLabels:
@@ -401,6 +516,19 @@ class TestAugmentBatch:
         b, _ = self.run_post_warmup(seed=27)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_not_pd_covariance_falls_back_to_id_only(self):
+        _, state = self.run_post_warmup(seed=29)
+        state.cov_lda[1] = -np.eye(2)
+        rng = np.random.default_rng(29)
+        f = np.vstack([rng.standard_normal((16, 2)) + [6.0, 0.0],
+                       rng.standard_normal((16, 2)) + [0.0, 12.0]])
+        y = np.array([1] * 16 + [2] * 16)
+        f_all, labels, info = grod_augment_batch(
+            f, y, state, self.cfg(), np.random.default_rng(0))
+        assert info["fallback"] == "not_pd" and info["n_fake"] == 0
+        np.testing.assert_array_equal(f_all, f)
+        np.testing.assert_array_equal(labels, one_hot(y, 2))
 
     def test_state_round_trip(self):
         _, state = self.run_post_warmup(seed=28)

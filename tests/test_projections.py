@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oodkit.numerics import TooFewSamples
-from oodkit.projections import (DegenerateScatter, EmptyInput, lda_fit,
-                                mine_boundary, pca_fit)
+from oodkit.numerics import TooFewSamples, sample_covariance
+from oodkit.projections import (DegenerateScatter, EmptyInput, _fix_signs,
+                                lda_fit, mine_boundary, pca_fit)
 
 
 class TestPcaFit:
@@ -35,6 +35,18 @@ class TestPcaFit:
             # same axis up to sign
             assert min(np.max(np.abs(got - expected)),
                        np.max(np.abs(got + expected))) <= 1e-10
+
+    @pytest.mark.parametrize("n,s,p", [(200, 64, 8), (200, 64, 64),
+                                       (40, 64, 39)])
+    def test_top_p_matches_full_eigh(self, n, s, p):
+        # the top-p solve against a full eigendecomposition, at the edge
+        # p = min(n-1, s) too, both under the same sign convention
+        rng = np.random.default_rng(n + p)
+        f = rng.standard_normal((n, s)) * np.linspace(0.5, 3.0, s)
+        vals, vecs = np.linalg.eigh(sample_covariance(f))
+        expected = _fix_signs(vecs[:, np.argsort(vals)[::-1][:p]].T)
+        np.testing.assert_allclose(pca_fit(f, p).axes, expected, rtol=0,
+                                   atol=1e-10)
 
     def test_axes_orthonormal(self):
         rng = np.random.default_rng(1)
