@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .outliers import (FALLBACK_REASONS, GrodConfig, GrodState,
                        grod_augment_batch, one_hot)
 
 REPORT_SCHEMA_VERSION = 1
+SCORERS = ("msp", "energy", "vim")
 
 
 class FormatError(Exception):
@@ -90,6 +92,11 @@ class ExperimentConfig:
             raise FormatError("batch_size must be >= 2")
         if self.get_int("epochs") < 1:
             raise FormatError("epochs must be >= 1")
+        if self.get("scorer") not in SCORERS:
+            raise FormatError(f"scorer must be one of {'/'.join(SCORERS)}")
+        for key in ("lr", "temperature"):
+            if self.get_float(key) <= 0:
+                raise FormatError(f"{key} must be > 0")
 
     @classmethod
     def from_file(cls, path):
@@ -199,6 +206,9 @@ def read_feature_file(path):
         if not 1 <= labels[i - 2] <= k + 1:
             raise FormatError(f"{path}:{i}: label {labels[i - 2]} out of "
                               f"range 1..{k + 1}")
+    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad_rows.size:
+        raise FormatError(f"{path}:{bad_rows[0] + 2}: non-finite value")
     return synthdata.FeatureBatch(feats, labels), k
 
 
@@ -207,10 +217,6 @@ def read_feature_file(path):
 
 def _as_inputs(features, d_hat0, tau):
     return np.asarray(features, dtype=float).reshape(-1, d_hat0, tau)
-
-
-def _msp_rows(adjusted):
-    return np.max(adjusted, axis=1)
 
 
 def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
@@ -233,7 +239,7 @@ def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
     fake_hidden = fake.reshape(-1, model.budget.d_hat, model.tau)
     fake_logits, _ = tfm.head_forward(model, fake_hidden)
     fake_adj = post.adjust_logits(fake_logits, k)
-    sep = metrics_mod.auroc(_msp_rows(adjusted), _msp_rows(fake_adj))
+    sep = metrics_mod.auroc(post.msp_score(adjusted), post.msp_score(fake_adj))
     return 0.5 * (acc + sep)
 
 
@@ -344,15 +350,11 @@ def _model_outputs(model, features):
 
 def _scores(scorer, adjusted, raw_logits, features, calib, temperature):
     if scorer == "msp":
-        return _msp_rows(adjusted)
+        return post.msp_score(adjusted)
     if scorer == "energy":
-        k = adjusted.shape[1]
-        return np.array([post.energy_score(row[:k], temperature)
-                         for row in raw_logits])
-    if scorer == "vim":
-        return np.array([post.vim_score(f, a, calib)
-                         for f, a in zip(features, adjusted)])
-    raise FormatError(f"unknown scorer: {scorer}")
+        return post.energy_score(raw_logits[:, :adjusted.shape[1]],
+                                 temperature)
+    return post.vim_score(features, adjusted, calib)
 
 
 def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
@@ -500,6 +502,10 @@ def cmd_train(config, seed, out_dir):
             frozen=("input.W", "input.b"), identity_input=True)
     else:
         model, state, log = train_model(config, seed, train, k, d_hat0=2)
+    if state is not None and not state.initialized:
+        print(f"warning: outlier generation never initialized "
+              f"(warmup_batches={config.get_int('warmup_batches')}, "
+              f"training batches={state.batch_index})", file=sys.stderr)
     tfm.save_model(model, _path(out_dir, "checkpoint.npz"))
     _save_grod_state(state, _path(out_dir, "grod_state.npz"))
     _write_json(_path(out_dir, "train_log.json"),
@@ -579,27 +585,19 @@ def cmd_sweep_capacity(config, seed, out_dir):
 
 def _sweep_row(label, depth, run_seed, model, train, test, ood):
     k = 2
-    row = {"config": label, "depth": depth, "seed": run_seed}
-    for name, batch in (("train", train), ("test", test)):
-        _, logits = _model_outputs(model, batch.features)
-        preds = np.argmax(logits, axis=1) + 1
-        row[f"{name}_id_acc"] = float(np.mean(preds == batch.labels))
-    _, ood_logits = _model_outputs(model, ood.features)
-    ood_preds = np.argmax(ood_logits, axis=1) + 1
-    row["ood_acc"] = float(np.mean(ood_preds == k + 1))
-    score_means = {}
-    for name, batch in (("id_test", test), ("ood", ood)):
-        _, logits = _model_outputs(model, batch.features)
-        adj = post.adjust_logits(logits, k)
-        msp = _msp_rows(adj)
-        if name == "id_test":
-            for c in (1, 2):
-                score_means[f"class{c}"] = float(np.mean(
-                    msp[batch.labels == c]))
-        else:
-            score_means["ood"] = float(np.mean(msp))
-    row["mean_msp"] = score_means
-    return row
+    logits = {name: _model_outputs(model, batch.features)[1]
+              for name, batch in (("train", train), ("test", test),
+                                  ("ood", ood))}
+    preds = {name: np.argmax(v, axis=1) + 1 for name, v in logits.items()}
+    msp = {name: post.msp_score(post.adjust_logits(logits[name], k))
+           for name in ("test", "ood")}
+    means = {f"class{c}": msp["test"][test.labels == c] for c in (1, 2)}
+    means["ood"] = msp["ood"]
+    return {"config": label, "depth": depth, "seed": run_seed,
+            "train_id_acc": float(np.mean(preds["train"] == train.labels)),
+            "test_id_acc": float(np.mean(preds["test"] == test.labels)),
+            "ood_acc": float(np.mean(preds["ood"] == k + 1)),
+            "mean_msp": {key: float(np.mean(v)) for key, v in means.items()}}
 
 
 def cmd_ingest(config, seed, out_dir):

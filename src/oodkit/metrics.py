@@ -1,8 +1,10 @@
 """OOD evaluation metrics: ID accuracy, FPR@95, AUROC, AUPR_IN, AUPR_OUT.
 
-Conventions are fixed for cross-run reproducibility: ties get 0.5 credit in
-AUROC, the TPR threshold uses the lower (no interpolation) percentile, and
-AUPR uses step interpolation over the distinct score thresholds.
+Each metric is one O(n log n) computation on a sort of the scores: AUROC
+from average ranks, AUPR from cumulative TP/FP counts.  Conventions are fixed
+for cross-run reproducibility: ties get 0.5 credit in AUROC, the TPR
+threshold uses the lower (no interpolation) percentile, and AUPR uses step
+interpolation over the distinct score thresholds, summed from high to low.
 """
 
 from dataclasses import dataclass
@@ -35,15 +37,11 @@ class MetricSummary:
 def _average_ranks(values):
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]     # one past each tied run
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -85,23 +83,24 @@ def aupr(pos_scores, neg_scores):
     """Area under precision-recall by step interpolation over all thresholds.
 
     A sample is predicted positive when its score >= threshold; thresholds
-    sweep the distinct scores from high to low.
+    sweep the distinct scores from high to low.  The TP/FP counts at each
+    threshold are the cumulative counts of a stable descending sort, read at
+    the last index of each run of tied scores.
     """
     pos_scores = np.asarray(pos_scores, dtype=float)
     neg_scores = np.asarray(neg_scores, dtype=float)
     if pos_scores.size == 0 or neg_scores.size == 0:
         raise EmptyClass("aupr needs nonempty positive and negative scores")
-    thresholds = np.unique(np.concatenate([pos_scores, neg_scores]))[::-1]
-    area = 0.0
-    prev_recall = 0.0
-    for thr in thresholds:
-        tp = int(np.sum(pos_scores >= thr))
-        fp = int(np.sum(neg_scores >= thr))
-        recall = tp / pos_scores.size
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
+    scores = np.concatenate([pos_scores, neg_scores])
+    order = np.argsort(-scores, kind="stable")
+    is_pos = order < pos_scores.size
+    sorted_scores = scores[order]
+    last = np.flatnonzero(np.r_[sorted_scores[1:] != sorted_scores[:-1], True])
+    tp = np.cumsum(is_pos)[last]
+    recall = tp / pos_scores.size
+    precision = tp / (last + 1)
+    # a running sum keeps the high-to-low order of the step-wise terms
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def aupr_in(id_scores, ood_scores):

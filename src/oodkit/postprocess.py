@@ -1,5 +1,5 @@
-"""Inference-time pipeline: logit adjustment, OOD scoring functions
-(MSP, energy, VIM-style) and score-threshold selection."""
+"""Inference-time pipeline: logit adjustment, batched OOD scoring functions
+(MSP, energy, VIM-style; one score per row) and score-threshold selection."""
 
 from dataclasses import dataclass
 
@@ -48,18 +48,22 @@ def adjust_logits(raw, n_id_classes):
     return out
 
 
-def msp_score(adjusted_row):
-    """Maximum entry of a normalized K-way row."""
-    return float(np.max(adjusted_row))
+def _logsumexp_rows(m):
+    top = m.max(axis=1)
+    return top + np.log(np.sum(np.exp(m - top[:, None]), axis=1))
+
+
+def msp_score(adjusted):
+    """Maximum entry of each normalized K-way row."""
+    return np.max(adjusted, axis=1)
 
 
 def energy_score(logits, temperature=1.0):
-    """T * logsumexp(logits / T), stabilized."""
+    """Row-wise T * logsumexp(logits / T), stabilized."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    v = np.asarray(logits, dtype=float) / temperature
-    m = np.max(v)
-    return float(temperature * (m + np.log(np.sum(np.exp(v - m)))))
+    return temperature * _logsumexp_rows(
+        np.asarray(logits, dtype=float) / temperature)
 
 
 def _residuals(features, mean, basis):
@@ -96,14 +100,12 @@ def vim_calibrate(train_features, train_logits, d_prime):
     return VimCalibration(principal_basis=basis, feature_mean=mean, alpha=alpha)
 
 
-def vim_score(feature, adjusted_logits, calib):
-    """logsumexp(adjusted logits) - alpha * residual(feature); higher = more ID."""
-    v = np.asarray(adjusted_logits, dtype=float)
-    m = np.max(v)
-    lse = m + np.log(np.sum(np.exp(v - m)))
-    res = _residuals(np.asarray(feature, dtype=float)[None],
-                     calib.feature_mean, calib.principal_basis)[0]
-    return float(lse - calib.alpha * res)
+def vim_score(features, adjusted_logits, calib):
+    """Row-wise logsumexp(adjusted logits) - alpha * residual; higher = ID."""
+    lse = _logsumexp_rows(np.asarray(adjusted_logits, dtype=float))
+    res = _residuals(np.asarray(features, dtype=float), calib.feature_mean,
+                     calib.principal_basis)
+    return lse - calib.alpha * res
 
 
 def default_d_prime(s):

@@ -2,11 +2,15 @@
 and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oodkit import cli, harness
+from oodkit import postprocess as post
 from oodkit import transformer as tfm
 from oodkit.harness import (ExperimentConfig, FormatError, read_feature_file,
                             write_feature_file)
@@ -38,6 +42,17 @@ class TestExperimentConfig:
             ExperimentConfig({"batch_size": 1})
         with pytest.raises(FormatError):
             ExperimentConfig({"epochs": 0})
+
+    @pytest.mark.parametrize("key,value", [
+        ("scorer", "foo"), ("lr", 0), ("lr", "-1"), ("temperature", 0.0),
+        ("temperature", "-0.5")])
+    def test_scorer_and_ranges_rejected_naming_key(self, key, value):
+        with pytest.raises(FormatError, match=key):
+            ExperimentConfig({key: value})
+
+    def test_every_scorer_accepted(self):
+        for scorer in ("msp", "energy", "vim"):
+            assert ExperimentConfig({"scorer": scorer}).get("scorer") == scorer
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -109,6 +124,16 @@ class TestFeatureFile:
         path = tmp_path / "bad.csv"
         path.write_text("hello\n")
         with pytest.raises(FormatError, match=":1"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text("dim=2,classes=2,rows=3\n"
+                        "0.0,0.0,1\n"
+                        f"0.0,{cell},2\n"
+                        f"{cell},0.0,1\n")
+        with pytest.raises(FormatError, match=r"bad\.csv:3: non-finite value"):
             read_feature_file(path)
 
     def test_label_out_of_range(self, tmp_path):
@@ -244,6 +269,34 @@ class TestTrainEval:
         assert log["grod"] == {"enabled": True, "initialized": False}
         assert all(e["fake_ood_retained"] == 0 for e in log["epochs"])
 
+    def test_warmup_never_finishing_warns(self, tmp_path, capsys):
+        cfg = small_config(grod_enabled="true", gamma=0.1,
+                           warmup_batches=100)
+        harness.cmd_gen_data(cfg, 79, str(tmp_path))
+        capsys.readouterr()
+        harness.cmd_train(cfg, 79, str(tmp_path))
+        # 180 fit rows in batches of 32 give 6 batches in each of 2 epochs
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: outlier generation never initialized "
+            "(warmup_batches=100, training batches=12)"]
+
+    def test_no_warning_once_warmup_finishes(self, tmp_path, capsys):
+        cfg = small_config(grod_enabled="true", gamma=0.1)
+        harness.cmd_gen_data(cfg, 79, str(tmp_path))
+        harness.cmd_train(cfg, 79, str(tmp_path))
+        assert capsys.readouterr().err == ""
+
+    def test_energy_scores_first_k_raw_logits(self):
+        # the per-row loop that the one batched call replaced
+        rng = np.random.default_rng(13)
+        k = 3
+        raw = 4.0 * rng.standard_normal((80, k + 1))
+        adjusted = post.adjust_logits(raw, k)
+        got = harness._scores("energy", adjusted, raw, None, None, 0.7)
+        want = [0.7 * (v.max() + np.log(np.sum(np.exp(v - v.max()))))
+                for v in raw[:, :k] / 0.7]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_grod_state_round_trip(self, tmp_path):
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=3)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
@@ -312,6 +365,28 @@ class TestCli:
                        "--seed", "0", "--out", str(tmp_path)])
         assert rc == 1
         assert "error: FormatError" in capsys.readouterr().err
+
+    def test_bad_scorer_fails_before_training(self, tmp_path, capsys):
+        harness.cmd_gen_data(small_config(), 79, str(tmp_path))
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("scorer=foo\n")
+        rc = cli.main(["ingest", "--config", str(cfg_path),
+                       "--seed", "79", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: FormatError: scorer")
+        assert not (tmp_path / "checkpoint.npz").exists()
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs about 0.8 s of import time in every process
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        out = subprocess.run(
+            [sys.executable, "-c", "import oodkit.cli, sys; "
+             "print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_seed_from_config_when_flag_absent(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -1,12 +1,15 @@
 """Tests for the OOD evaluation metrics against brute-force oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oodkit.metrics import (EmptyClass, LengthMismatch, aupr, aupr_in,
-                            aupr_out, auroc, fpr_at_tpr, id_accuracy,
+from oodkit.metrics import (EmptyClass, LengthMismatch, _average_ranks, aupr,
+                            aupr_in, aupr_out, auroc, fpr_at_tpr, id_accuracy,
                             pick_threshold)
 
 
@@ -36,6 +39,65 @@ def aupr_oracle(pos, neg):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+def fpr_oracle(id_scores, ood_scores):
+    """Exact rational order-statistic index for TPR = 95%."""
+    srt = sorted(id_scores)
+    thr = srt[max(1, math.ceil(Fraction(1, 20) * len(srt))) - 1]
+    return sum(1 for v in ood_scores if v >= thr) / len(ood_scores)
+
+
+def average_ranks_loop(values):
+    """The Python tie loop that the numpy `_average_ranks` replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def draw_scores(seed, n_id, n_ood, tied):
+    rng = np.random.default_rng(seed)
+    if tied:
+        return (rng.integers(0, 6, size=n_id).astype(float),
+                rng.integers(0, 6, size=n_ood).astype(float))
+    return rng.standard_normal(n_id), rng.standard_normal(n_ood)
+
+
+class TestSortBasedMetrics:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 500),
+           st.integers(1, 500), st.booleans())
+    @example(seed=1, n_id=500, n_ood=500, tied=False)
+    @example(seed=2, n_id=500, n_ood=500, tied=True)
+    @settings(max_examples=30, deadline=None)
+    def test_match_bruteforce_oracles(self, seed, n_id, n_ood, tied):
+        a, b = draw_scores(seed, n_id, n_ood, tied)
+        assert abs(auroc(a, b) - auroc_oracle(a, b)) <= 1e-12
+        assert abs(aupr_in(a, b) - aupr_oracle(a, b)) <= 1e-12
+        assert abs(aupr_out(a, b) - aupr_oracle(-b, -a)) <= 1e-12
+        assert abs(fpr_at_tpr(a, b) - fpr_oracle(a, b)) <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 500), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_average_ranks_equal_tie_loop(self, seed, n, tied):
+        values, _ = draw_scores(seed, n, 1, tied)
+        np.testing.assert_array_equal(_average_ranks(values),
+                                      average_ranks_loop(values))
+
+    def test_run_at_n_1e5(self):
+        a, b = draw_scores(11, 10 ** 5, 10 ** 5, False)
+        assert auroc(a, b) + auroc(b, a) == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= aupr(a, b) <= 1.0
+        a, b = draw_scores(12, 10 ** 5, 10 ** 5, True)
+        assert auroc(a, b) + auroc(b, a) == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= aupr(a, b) <= 1.0
 
 
 class TestAuroc:

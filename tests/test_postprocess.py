@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodkit.postprocess import (DegenerateFeatures, adjust_logits,
                                 default_d_prime, energy_score, msp_score,
@@ -39,43 +41,44 @@ class TestAdjustLogits:
 
 class TestMspScore:
     def test_uniform(self):
-        assert msp_score(np.array([0.5, 0.5])) == 0.5
+        assert msp_score(np.array([0.5, 0.5])[None])[0] == 0.5
 
     def test_max_entry(self):
-        assert msp_score(np.array([0.9, 0.1])) == 0.9
+        assert msp_score(np.array([0.9, 0.1])[None])[0] == 0.9
 
     def test_simplex_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             k = int(rng.integers(2, 6))
             row = rng.dirichlet(np.ones(k))
-            assert 1.0 / k <= msp_score(row) <= 1.0
+            assert 1.0 / k <= msp_score(row[None])[0] <= 1.0
 
 
 class TestEnergyScore:
     def test_hand_value(self):
-        assert energy_score([0.0, 0.0]) == pytest.approx(np.log(2.0),
-                                                         rel=1e-12)
+        assert energy_score(np.array([0.0, 0.0])[None])[0] == pytest.approx(
+            np.log(2.0), rel=1e-12)
 
     def test_shift_covariance(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal(4)
-        base = energy_score(logits)
-        assert energy_score(logits + 2.5) == pytest.approx(base + 2.5,
-                                                           rel=1e-10)
+        base = energy_score(logits[None])[0]
+        assert energy_score((logits + 2.5)[None])[0] == pytest.approx(
+            base + 2.5, rel=1e-10)
 
     def test_large_temperature_asymptote(self):
         logits = np.array([1.0, 2.0, 3.0])
         t = 1e6
         expected = t * np.log(3.0) + logits.mean()
-        assert energy_score(logits, t) == pytest.approx(expected, rel=1e-6)
+        assert energy_score(logits[None], t)[0] == pytest.approx(expected,
+                                                                 rel=1e-6)
 
     def test_no_overflow(self):
-        assert np.isfinite(energy_score([1e4, 1e4]))
+        assert np.isfinite(energy_score(np.array([1e4, 1e4])[None])[0])
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
-            energy_score([0.0], 0.0)
+            energy_score(np.array([0.0])[None], 0.0)
 
 
 class TestVim:
@@ -95,7 +98,7 @@ class TestVim:
         expected_res = np.linalg.norm(x - feats.mean(axis=0))
         adjusted = np.array([0.6, 0.4])
         lse = np.log(np.sum(np.exp(adjusted)))
-        got = vim_score(x, adjusted, calib)
+        got = vim_score(x[None], adjusted[None], calib)[0]
         assert got == pytest.approx(lse - calib.alpha * expected_res,
                                     rel=1e-10)
 
@@ -120,7 +123,7 @@ class TestVim:
         feats = rng.standard_normal((30, 2))
         calib = vim_calibrate(feats, np.abs(rng.standard_normal((30, 2))), 1)
         adjusted = np.array([0.7, 0.3])
-        got = vim_score(calib.feature_mean, adjusted, calib)
+        got = vim_score(calib.feature_mean[None], adjusted[None], calib)[0]
         assert got == pytest.approx(np.log(np.sum(np.exp(adjusted))),
                                     rel=1e-10)
 
@@ -130,8 +133,8 @@ class TestVim:
         calib = vim_calibrate(feats, np.abs(rng.standard_normal((40, 2))), 0)
         adjusted = np.array([0.5, 0.5])
         direction = np.array([1.0, 0.0])
-        scores = [vim_score(calib.feature_mean + r * direction,
-                            adjusted, calib) for r in (0.0, 1.0, 2.0)]
+        scores = [vim_score((calib.feature_mean + r * direction)[None],
+                            adjusted[None], calib)[0] for r in (0.0, 1.0, 2.0)]
         assert scores[0] > scores[1] > scores[2]
 
     def test_hand_worked_example(self):
@@ -148,8 +151,9 @@ class TestVim:
         expected_res = np.linalg.norm(centered - proj)
         adjusted = np.array([0.5, 0.5])
         lse = np.log(np.sum(np.exp(adjusted)))
-        assert vim_score(probe, adjusted, calib) == pytest.approx(
-            lse - calib.alpha * expected_res, rel=1e-10)
+        got = vim_score(probe[None], adjusted[None], calib)[0]
+        assert got == pytest.approx(lse - calib.alpha * expected_res,
+                                    rel=1e-10)
 
     def test_default_d_prime(self):
         assert default_d_prime(64) == 63
@@ -157,6 +161,55 @@ class TestVim:
         assert default_d_prime(8) == 4
         assert default_d_prime(3) == 1
         assert default_d_prime(2) == 1
+
+
+def energy_row_oracle(logits, temperature):
+    """The per-row energy formula the batched scorer replaced."""
+    v = np.asarray(logits, dtype=float) / temperature
+    m = np.max(v)
+    return float(temperature * (m + np.log(np.sum(np.exp(v - m)))))
+
+
+def vim_row_oracle(feature, adjusted, calib):
+    """The per-row ViM formula the batched scorer replaced, plus the size of
+    its two terms (the score itself can cancel to near zero)."""
+    m = np.max(adjusted)
+    lse = m + np.log(np.sum(np.exp(adjusted - m)))
+    centered = feature - calib.feature_mean
+    basis = calib.principal_basis
+    res = np.linalg.norm(centered - (centered @ basis.T) @ basis)
+    return float(lse - calib.alpha * res), abs(lse) + calib.alpha * res
+
+
+class TestBatchedScorers:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.integers(1, 6), st.floats(0.05, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_energy_matches_per_row(self, seed, n, k, temperature):
+        logits = 10.0 * np.random.default_rng(seed).standard_normal((n, k))
+        got = energy_score(logits, temperature)
+        want = [energy_row_oracle(row, temperature) for row in logits]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.sampled_from([2, 8, 64]), st.integers(2, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_vim_matches_per_row(self, seed, n, s, k):
+        rng = np.random.default_rng(seed)
+        calib = vim_calibrate(rng.standard_normal((2 * s + 2, s)),
+                              np.abs(rng.standard_normal((2 * s + 2, k))),
+                              default_d_prime(s))
+        feats = 3.0 * rng.standard_normal((n, s))
+        adjusted = adjust_logits(rng.standard_normal((n, k + 1)), k)
+        got = vim_score(feats, adjusted, calib)
+        want, scale = np.array([vim_row_oracle(f, a, calib)
+                                for f, a in zip(feats, adjusted)]).T
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_msp_is_row_max(self):
+        adjusted = np.random.default_rng(10).dirichlet(np.ones(4), size=50)
+        np.testing.assert_array_equal(msp_score(adjusted),
+                                      [max(row) for row in adjusted])
 
 
 class TestScoreReport:
