@@ -16,8 +16,9 @@ from . import metrics as metrics_mod
 from . import postprocess as post
 from . import synthdata
 from . import transformer as tfm
+from .metrics import id_accuracy
 from .outliers import (FALLBACK_REASONS, GrodConfig, GrodState,
-                       grod_augment_batch, one_hot)
+                       grod_augment_batch, one_hot, save_grod_state)
 
 REPORT_SCHEMA_VERSION = 1
 SCORERS = ("msp", "energy", "vim")
@@ -78,25 +79,52 @@ DEFAULTS = {
 }
 
 
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
 class ExperimentConfig:
-    """Flat key-value config with typed access and a stable hash."""
+    """Flat key-value config with typed access and a stable hash of the raw
+    values; every key is parsed by its DEFAULTS type and checked at load."""
 
     def __init__(self, values=None):
         self.values = dict(DEFAULTS)
-        if values:
-            for k, v in values.items():
-                if k not in DEFAULTS:
-                    raise FormatError(f"unknown config key: {k}")
-                self.values[k] = v
-        if self.get_int("batch_size") < 2:
-            raise FormatError("batch_size must be >= 2")
-        if self.get_int("epochs") < 1:
-            raise FormatError("epochs must be >= 1")
+        for k, v in (values or {}).items():
+            if k not in DEFAULTS:
+                raise FormatError(f"unknown config key: {k}")
+            self.values[k] = v
+        for key, default in DEFAULTS.items():
+            kind = ("int_list" if key.startswith("sweep_")
+                    else type(default).__name__)
+            try:    # get_int, get_float, get_bool, get_int_list or get
+                value = getattr(self, f"get_{kind}", self.get)(key)
+            except (KeyError, TypeError, ValueError):
+                raise FormatError(f"{key}: expected {kind}, "
+                                  f"got {self.values[key]!r}") from None
+            if kind == "float" and not math.isfinite(value):
+                raise FormatError(f"{key} must be finite")
+        for key, low in (("batch_size", 2), ("epochs", 1), ("depth", 0),
+                         ("d_hat", 1), ("heads", 1), ("m_h", 1), ("m_v", 1),
+                         ("ff", 1), ("warmup_batches", 0), ("num", 0),
+                         ("pca_axes", 0), ("lda_axes", 0)):
+            if self.get_int(key) < low:
+                raise FormatError(f"{key} must be >= {low}")
         if self.get("scorer") not in SCORERS:
             raise FormatError(f"scorer must be one of {'/'.join(SCORERS)}")
         for key in ("lr", "temperature"):
             if self.get_float(key) <= 0:
                 raise FormatError(f"{key} must be > 0")
+        try:
+            self.grod = GrodConfig(
+                a=self.get_float("a"), gamma=self.get_float("gamma"),
+                gamma_opt=self.get_float("gamma_opt"),
+                num=self.get_int("num") or None,
+                warmup_batches=self.get_int("warmup_batches"),
+                lambda_filter=self.get_float("lambda_filter"),
+                pca_axes=self.get_int("pca_axes") or None,
+                lda_axes=self.get_int("lda_axes") or None)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path):
@@ -128,7 +156,7 @@ class ExperimentConfig:
         v = self.values[key]
         if isinstance(v, bool):
             return v
-        return str(v).strip().lower() in ("1", "true", "yes", "on")
+        return BOOL_WORDS[str(v).strip().lower()]
 
     def get_int_list(self, key):
         return [int(x) for x in str(self.values[key]).split(",") if x.strip()]
@@ -143,16 +171,6 @@ class ExperimentConfig:
         return tfm.Budget(d_hat=self.get_int("d_hat"), h=self.get_int("heads"),
                           m_h=self.get_int("m_h"), m_V=self.get_int("m_v"),
                           r=self.get_int("ff"))
-
-    def grod_config(self):
-        return GrodConfig(
-            a=self.get_float("a"), gamma=self.get_float("gamma"),
-            gamma_opt=self.get_float("gamma_opt"),
-            num=self.get_int("num") or None,
-            warmup_batches=self.get_int("warmup_batches"),
-            lambda_filter=self.get_float("lambda_filter"),
-            pca_axes=self.get_int("pca_axes") or None,
-            lda_axes=self.get_int("lda_axes") or None)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +241,9 @@ def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
     """Model-selection criterion: mean of held-out ID accuracy and the AUROC
     of held-out ID against fake outliers generated from the held-out features;
     falls back to ID accuracy alone when no outliers are available."""
-    hidden, _ = tfm.forward_trunk(model, val_x)
-    feats = hidden.reshape(hidden.shape[0], -1)
-    logits, _ = tfm.head_forward(model, hidden)
+    feats, logits = _model_outputs(model, val_x)
     adjusted = post.adjust_logits(logits, k)
-    acc = float(np.mean(np.argmax(adjusted, axis=1) + 1 == val_y))
+    acc = id_accuracy(np.argmax(adjusted, axis=1) + 1, val_y)
     if grod_state is None or not grod_state.initialized:
         return acc
     snapshot = copy.deepcopy(grod_state)
@@ -261,7 +277,7 @@ def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
         model.params["input.b"] = np.zeros(budget.d_hat)
 
     grod_enabled = config.get_bool("grod_enabled")
-    grod_cfg = config.grod_config()
+    grod_cfg = config.grod
     grod_state = GrodState(n_id_classes=k,
                            dim=budget.d_hat * tau) if grod_enabled else None
     grod_rng = np.random.Generator(np.random.Philox(seed * 7 + 3))
@@ -361,18 +377,18 @@ def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                    scorer="vim", temperature=1.0):
     """Metrics plus a per-sample score report for the ID test and OOD sets."""
     k = n_id_classes
-    train_feats, train_logits = _model_outputs(model, train_batch.features)
+    calib = None
+    if scorer == "vim":    # only ViM calibrates on the train rows
+        train_feats, train_logits = _model_outputs(model,
+                                                   train_batch.features)
+        calib = post.vim_calibrate(train_feats,
+                                   post.adjust_logits(train_logits, k),
+                                   post.default_d_prime(train_feats.shape[1]))
     test_feats, test_logits = _model_outputs(model, test_batch.features)
     ood_feats, ood_logits = _model_outputs(model, ood_batch.features)
-
-    train_adj = post.adjust_logits(train_logits, k)
     test_adj = post.adjust_logits(test_logits, k)
     ood_adj = post.adjust_logits(ood_logits, k)
 
-    calib = None
-    if scorer == "vim":
-        calib = post.vim_calibrate(train_feats, train_adj,
-                                   post.default_d_prime(train_feats.shape[1]))
     id_scores = _scores(scorer, test_adj, test_logits, test_feats, calib,
                         temperature)
     ood_scores = _scores(scorer, ood_adj, ood_logits, ood_feats, calib,
@@ -380,10 +396,8 @@ def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
 
     report = post.score_report(np.concatenate([id_scores, ood_scores]),
                                np.vstack([test_adj, ood_adj]), id_scores)
-    id_acc = float(np.mean(np.argmax(test_adj, axis=1) + 1
-                           == test_batch.labels))
     summary = metrics_mod.MetricSummary(
-        id_acc=id_acc,
+        id_acc=id_accuracy(np.argmax(test_adj, axis=1) + 1, test_batch.labels),
         fpr_at_95=metrics_mod.fpr_at_tpr(id_scores, ood_scores),
         auroc=metrics_mod.auroc(id_scores, ood_scores),
         aupr_in=metrics_mod.aupr_in(id_scores, ood_scores),
@@ -453,44 +467,6 @@ def _load_dataset(out_dir):
     return train, test, ood, k
 
 
-def _save_grod_state(state, path):
-    arrays = {}
-    if state is not None:
-        d = state.to_dict()
-        arrays["meta"] = np.frombuffer(json.dumps(
-            {"n_id_classes": d["n_id_classes"], "dim": d["dim"],
-             "batch_index": d["batch_index"],
-             "initialized": d["initialized"],
-             "classes": d.get("classes", [])},
-            sort_keys=True).encode(), dtype=np.uint8)
-        if state.initialized:
-            arrays["mu_pca"] = d["mu_pca"]
-            arrays["cov_pca"] = d["cov_pca"]
-            arrays["dist_id_pca"] = np.array(d["dist_id_pca"])
-            for i, c in enumerate(d["classes"]):
-                arrays[f"mu_lda_{c}"] = d["mu_lda"][i]
-                arrays[f"cov_lda_{c}"] = d["cov_lda"][i]
-                arrays[f"dist_lda_{c}"] = np.array(d["dist_id_lda"][i])
-    np.savez(path, **arrays)
-
-
-def load_grod_state(path):
-    with np.load(path) as data:
-        if "meta" not in data.files:
-            return None
-        meta = json.loads(bytes(data["meta"]).decode())
-        d = dict(meta)
-        if meta["initialized"]:
-            d["mu_pca"] = data["mu_pca"]
-            d["cov_pca"] = data["cov_pca"]
-            d["dist_id_pca"] = float(data["dist_id_pca"])
-            d["mu_lda"] = [data[f"mu_lda_{c}"] for c in meta["classes"]]
-            d["cov_lda"] = [data[f"cov_lda_{c}"] for c in meta["classes"]]
-            d["dist_id_lda"] = [float(data[f"dist_lda_{c}"])
-                                for c in meta["classes"]]
-    return GrodState.from_dict(d)
-
-
 def cmd_train(config, seed, out_dir):
     train, _, _, k = _load_dataset(out_dir)
     task = config.get("task")
@@ -507,7 +483,7 @@ def cmd_train(config, seed, out_dir):
               f"(warmup_batches={config.get_int('warmup_batches')}, "
               f"training batches={state.batch_index})", file=sys.stderr)
     tfm.save_model(model, _path(out_dir, "checkpoint.npz"))
-    _save_grod_state(state, _path(out_dir, "grod_state.npz"))
+    save_grod_state(state, _path(out_dir, "grod_state.npz"))
     _write_json(_path(out_dir, "train_log.json"),
                 {"schema_version": REPORT_SCHEMA_VERSION,
                  "config_hash": config.hash(), "seed": seed, "epochs": log,
@@ -554,20 +530,16 @@ def cmd_sweep_capacity(config, seed, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     depths = config.get_int_list("sweep_depths")
     seeds = config.get_int_list("sweep_seeds")
-    base = {"grod_enabled": "false", "gamma": 0.0,
-            "epochs": config.get_int("epochs"),
-            "batch_size": config.get_int("batch_size"),
-            "lr": config.get_float("lr"),
-            "weight_decay": config.get_float("weight_decay")}
+    cfg = ExperimentConfig({"grod_enabled": "false", "gamma": 0.0,
+                            "epochs": config.get_int("epochs"),
+                            "batch_size": config.get_int("batch_size"),
+                            "lr": config.get_float("lr"),
+                            "weight_decay": config.get_float("weight_decay")})
     rows = []
     configs = [("narrow", d, tfm.Budget(2, 2, 1, 1, 4)) for d in depths]
     configs.append(("wide", 2, tfm.Budget(10, 1, 1, 5, 10)))
     for label, depth, budget in configs:
         for run_seed in seeds:
-            cfg = ExperimentConfig({**base, "depth": depth,
-                                    "d_hat": budget.d_hat,
-                                    "heads": budget.h, "m_h": budget.m_h,
-                                    "m_v": budget.m_V, "ff": budget.r})
             train, test, ood, _ = synthdata.gen_mixture_2d(
                 run_seed,
                 n_train_per_class=config.get_int("n_train_per_class"),
@@ -594,8 +566,8 @@ def _sweep_row(label, depth, run_seed, model, train, test, ood):
     means = {f"class{c}": msp["test"][test.labels == c] for c in (1, 2)}
     means["ood"] = msp["ood"]
     return {"config": label, "depth": depth, "seed": run_seed,
-            "train_id_acc": float(np.mean(preds["train"] == train.labels)),
-            "test_id_acc": float(np.mean(preds["test"] == test.labels)),
+            "train_id_acc": id_accuracy(preds["train"], train.labels),
+            "test_id_acc": id_accuracy(preds["test"], test.labels),
             "ood_acc": float(np.mean(preds["ood"] == k + 1)),
             "mean_msp": {key: float(np.mean(v)) for key, v in means.items()}}
 

@@ -7,68 +7,15 @@ import numpy as np
 LOG_CLAMP = 1e-12
 
 
-def _log_softmax(logits):
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
-
-
-def _softmax(logits):
-    e = np.exp(logits - np.max(logits))
-    return e / e.sum()
-
-
-def phi_hat(v):
-    """Collapse a (K+1)-vector to (ID mass, OOD mass)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([v[:-1].sum(), v[-1]])
-
-
-def loss_l1(y, logits):
-    """Cross-entropy -sum_j y_j log softmax(logits)_j, log-sum-exp stabilized."""
-    return float(-np.dot(np.asarray(y, dtype=float), _log_softmax(logits)))
-
-
-def loss_l2(y, logits):
-    """Binary ID/OOD cross-entropy after the phi_hat collapse.
-
-    Log arguments are clamped at 1e-12 so confidently wrong early-training
-    predictions stay finite.
-    """
-    phi_y = phi_hat(y)
-    phi_p = phi_hat(_softmax(np.asarray(logits, dtype=float)))
-    return float(-np.dot(phi_y, np.log(np.maximum(phi_p, LOG_CLAMP))))
-
-
-def loss_total(y, logits, gamma):
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    return (1.0 - gamma) * loss_l1(y, logits) + gamma * loss_l2(y, logits)
-
-
-def loss_grad_logits(y, logits, gamma):
-    """Analytic gradient of loss_total with respect to the logits."""
-    y = np.asarray(y, dtype=float)
-    p = _softmax(np.asarray(logits, dtype=float))
-    grad = (1.0 - gamma) * (p - y)
-    if gamma > 0.0:
-        phi_y = phi_hat(y)
-        phi_p = phi_hat(p)
-        # d(L2)/dp_i = -phi_y_side / phi_p_side; zero where the log is clamped
-        gp = np.zeros_like(p)
-        if phi_p[0] > LOG_CLAMP:
-            gp[:-1] = -phi_y[0] / phi_p[0]
-        if phi_p[1] > LOG_CLAMP:
-            gp[-1] = -phi_y[1] / phi_p[1]
-        grad += gamma * p * (gp - np.dot(p, gp))
-    return grad
-
-
 def batch_loss_and_grad(labels, logits, gamma):
     """Mean loss over a batch plus per-row gradients already scaled by 1/n.
 
     labels: (n, K+1) rows, logits: (n, K+1).  Returns (mean L1, mean L2,
-    mean total, grad (n, K+1)).
+    mean total, grad (n, K+1)).  L2 clamps its log arguments at 1e-12 so
+    confidently wrong early-training predictions stay finite.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     labels = np.asarray(labels, dtype=float)
     logits = np.asarray(logits, dtype=float)
     n = logits.shape[0]
@@ -85,6 +32,7 @@ def batch_loss_and_grad(labels, logits, gamma):
 
     grad = (1.0 - gamma) * (p - labels)
     if gamma > 0.0:
+        # d(L2)/dp_i = -phi_y_side / phi_p_side; zero where the log is clamped
         gp = np.zeros_like(p)
         id_ok = phi_p[:, 0] > LOG_CLAMP
         ood_ok = phi_p[:, 1] > LOG_CLAMP

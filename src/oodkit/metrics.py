@@ -7,7 +7,7 @@ threshold uses the lower (no interpolation) percentile, and AUPR uses step
 interpolation over the distinct score thresholds, summed from high to low.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,10 @@ class LengthMismatch(Exception):
     pass
 
 
+class NonFiniteScore(ValueError):
+    """A score is NaN or infinite."""
+
+
 @dataclass
 class MetricSummary:
     id_acc: float
@@ -29,9 +33,16 @@ class MetricSummary:
     aupr_out: float
 
     def to_dict(self):
-        return {"id_acc": self.id_acc, "fpr_at_95": self.fpr_at_95,
-                "auroc": self.auroc, "aupr_in": self.aupr_in,
-                "aupr_out": self.aupr_out}
+        return asdict(self)
+
+
+def _finite(name, scores):
+    """scores as a float array; raises NonFiniteScore at the first NaN/inf."""
+    scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NonFiniteScore(f"{name}[{bad[0]}] is {scores[bad[0]]}")
+    return scores
 
 
 def _average_ranks(values):
@@ -47,8 +58,8 @@ def _average_ranks(values):
 
 def auroc(id_scores, ood_scores):
     """P(random ID score > random OOD score), ties counted 0.5."""
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    id_scores = _finite("id_scores", id_scores)
+    ood_scores = _finite("ood_scores", ood_scores)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise EmptyClass("auroc needs nonempty ID and OOD scores")
     ranks = _average_ranks(np.concatenate([id_scores, ood_scores]))
@@ -62,7 +73,7 @@ def pick_threshold(id_scores, tpr=0.95):
 
     Lower-interpolation percentile: the ceil((1-tpr)*n)-th smallest score.
     """
-    id_scores = np.asarray(id_scores, dtype=float)
+    id_scores = _finite("id_scores", id_scores)
     if id_scores.size == 0:
         raise EmptyClass("pick_threshold needs nonempty scores")
     # the small backoff keeps e.g. ceil(0.05 * 100) at 5 despite float noise
@@ -72,7 +83,7 @@ def pick_threshold(id_scores, tpr=0.95):
 
 def fpr_at_tpr(id_scores, ood_scores, tpr=0.95):
     """Fraction of OOD scores at or above the TPR threshold of the ID scores."""
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    ood_scores = _finite("ood_scores", ood_scores)
     if ood_scores.size == 0:
         raise EmptyClass("fpr_at_tpr needs nonempty OOD scores")
     thr = pick_threshold(id_scores, tpr)
@@ -87,8 +98,8 @@ def aupr(pos_scores, neg_scores):
     threshold are the cumulative counts of a stable descending sort, read at
     the last index of each run of tied scores.
     """
-    pos_scores = np.asarray(pos_scores, dtype=float)
-    neg_scores = np.asarray(neg_scores, dtype=float)
+    pos_scores = _finite("pos_scores", pos_scores)
+    neg_scores = _finite("neg_scores", neg_scores)
     if pos_scores.size == 0 or neg_scores.size == 0:
         raise EmptyClass("aupr needs nonempty positive and negative scores")
     scores = np.concatenate([pos_scores, neg_scores])
@@ -109,8 +120,8 @@ def aupr_in(id_scores, ood_scores):
 
 def aupr_out(id_scores, ood_scores):
     """AUPR with OOD as the positive class (scores negated)."""
-    return aupr(-np.asarray(ood_scores, dtype=float),
-                -np.asarray(id_scores, dtype=float))
+    return aupr(-_finite("ood_scores", ood_scores),
+                -_finite("id_scores", id_scores))
 
 
 def id_accuracy(pred_labels, true_labels, restricted_to_id=True, n_id_classes=None):

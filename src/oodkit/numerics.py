@@ -75,9 +75,8 @@ def sample_covariance(f):
     return 0.5 * (cov + cov.T)
 
 
-def column_softmax(m):
-    """Column-wise softmax with per-column max subtraction."""
-    m = np.asarray(m, dtype=float)
-    shifted = m - m.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+def softmax(x, axis):
+    """Softmax along one axis, with the max along that axis subtracted."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)

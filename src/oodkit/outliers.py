@@ -9,14 +9,15 @@ by a Mahalanobis margin, caps the survivors, and attaches distance-ratio
 soft labels over K+1 classes.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (NotPositiveDefinite, TooFewSamples, column_softmax,
+from .numerics import (NotPositiveDefinite, TooFewSamples,
                        mahalanobis_sq_rows, regularized_cholesky,
-                       sample_covariance)
+                       sample_covariance, softmax)
 from .projections import DegenerateScatter, lda_fit, mine_boundary, pca_fit
 
 
@@ -33,23 +34,23 @@ FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
 
 @dataclass
 class GrodConfig:
-    a: float = 0.1                 # boundary extension length
-    gamma: float = 0.1             # loss mix weight
-    gamma_opt: float = 0.1         # EMA rate for centers/covs/distances
+    a: float = 0.1                 # boundary extension length, > 0
+    gamma: float = 0.1             # loss mix weight, in [0, 1]
+    gamma_opt: float = 0.1         # EMA rate for centers/covs/dists, (0, 1]
     num: int | None = None         # candidates per cluster group
     warmup_batches: int = 5
-    lambda_filter: float = 0.1
+    lambda_filter: float = 0.1     # filter margin weight, >= 0
     eps: float = 1e-7
     eps0: float = 1e-4
     pca_axes: int | None = None    # default min(s, 8)
     lda_axes: int | None = None    # default min(K-1, 4)
 
     def __post_init__(self):
-        if self.a <= 0 or not 0 <= self.gamma <= 1 or not 0 < self.gamma_opt <= 1:
-            raise ValueError("invalid config: need a>0, gamma in [0,1], "
-                             "gamma_opt in (0,1]")
-        if self.lambda_filter < 0:
-            raise ValueError("lambda_filter must be >= 0")
+        for name, ok in (("a", self.a > 0), ("gamma", 0 <= self.gamma <= 1),
+                         ("gamma_opt", 0 < self.gamma_opt <= 1),
+                         ("lambda_filter", self.lambda_filter >= 0)):
+            if not ok:
+                raise ValueError(f"{name} out of range: {getattr(self, name)}")
 
 
 @dataclass
@@ -67,34 +68,54 @@ class GrodState:
     pool_f: list = field(default_factory=list)
     pool_y: list = field(default_factory=list)
 
-    def to_dict(self):
-        d = {"n_id_classes": self.n_id_classes, "dim": self.dim,
-             "batch_index": self.batch_index,
-             "initialized": self.initialized}
-        if self.initialized:
-            d.update(mu_pca=self.mu_pca, cov_pca=self.cov_pca,
-                     dist_id_pca=self.dist_id_pca,
-                     classes=sorted(self.mu_lda),
-                     mu_lda=[self.mu_lda[c] for c in sorted(self.mu_lda)],
-                     cov_lda=[self.cov_lda[c] for c in sorted(self.mu_lda)],
-                     dist_id_lda=[self.dist_id_lda[c] for c in sorted(self.mu_lda)])
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        state = cls(n_id_classes=int(d["n_id_classes"]), dim=int(d["dim"]),
-                    batch_index=int(d["batch_index"]),
-                    initialized=bool(d["initialized"]))
+def save_grod_state(state, path):
+    """npz archive: a JSON `meta` record, the tracked statistics once
+    initialized (`mu_pca`, `cov_pca`, `dist_id_pca`, `mu_lda_<c>`,
+    `cov_lda_<c>`, `dist_lda_<c>`) and the stacked warmup pool (`pool_f`,
+    `pool_y`) while it is non-empty.  A None state saves an empty archive."""
+    arrays = {}
+    if state is not None:
+        classes = sorted(state.mu_lda)
+        arrays["meta"] = np.frombuffer(json.dumps(
+            {"n_id_classes": state.n_id_classes, "dim": state.dim,
+             "batch_index": state.batch_index,
+             "initialized": state.initialized, "classes": classes},
+            sort_keys=True).encode(), dtype=np.uint8)
         if state.initialized:
-            state.mu_pca = np.asarray(d["mu_pca"], dtype=float)
-            state.cov_pca = np.asarray(d["cov_pca"], dtype=float)
-            state.dist_id_pca = float(d["dist_id_pca"])
-            for idx, c in enumerate(d["classes"]):
-                c = int(c)
-                state.mu_lda[c] = np.asarray(d["mu_lda"][idx], dtype=float)
-                state.cov_lda[c] = np.asarray(d["cov_lda"][idx], dtype=float)
-                state.dist_id_lda[c] = float(d["dist_id_lda"][idx])
-        return state
+            arrays.update(mu_pca=state.mu_pca, cov_pca=state.cov_pca,
+                          dist_id_pca=np.array(state.dist_id_pca))
+            for c in classes:
+                arrays[f"mu_lda_{c}"] = state.mu_lda[c]
+                arrays[f"cov_lda_{c}"] = state.cov_lda[c]
+                arrays[f"dist_lda_{c}"] = np.array(state.dist_id_lda[c])
+        if state.pool_f:
+            arrays["pool_f"] = np.vstack(state.pool_f)
+            arrays["pool_y"] = np.concatenate(state.pool_y)
+    np.savez(path, **arrays)
+
+
+def load_grod_state(path):
+    """Inverse of save_grod_state; the pool comes back as one batch."""
+    with np.load(path) as data:
+        if "meta" not in data.files:
+            return None
+        meta = json.loads(bytes(data["meta"]).decode())
+        state = GrodState(n_id_classes=meta["n_id_classes"], dim=meta["dim"],
+                          batch_index=meta["batch_index"],
+                          initialized=meta["initialized"])
+        if state.initialized:
+            state.mu_pca = data["mu_pca"]
+            state.cov_pca = data["cov_pca"]
+            state.dist_id_pca = float(data["dist_id_pca"])
+            for c in meta["classes"]:
+                state.mu_lda[c] = data[f"mu_lda_{c}"]
+                state.cov_lda[c] = data[f"cov_lda_{c}"]
+                state.dist_id_lda[c] = float(data[f"dist_lda_{c}"])
+        if "pool_f" in data.files:
+            state.pool_f = [data["pool_f"]]
+            state.pool_y = [data["pool_y"]]
+    return state
 
 
 def _class_cov(rows, eps0, dim):
@@ -275,7 +296,7 @@ def soft_labels(points, state, n_id_classes, eps0=1e-4, snapshot=None):
     exponents = np.full((len(dists), n_id_classes + 1), -np.inf)
     exponents[:, np.array(classes) - 1] = ratios - 1.0
     exponents[:, n_id_classes] = 1.0 - ratios.max(axis=1)
-    return column_softmax(exponents.T).T
+    return softmax(exponents, axis=1)
 
 
 def one_hot(y, n_id_classes):

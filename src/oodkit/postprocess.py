@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import pick_threshold
-from .numerics import sample_covariance
+from .numerics import sample_covariance, softmax
 
 
 class DegenerateFeatures(Exception):
@@ -28,12 +28,6 @@ class VimCalibration:
     alpha: float
 
 
-def _row_softmax(m):
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def adjust_logits(raw, n_id_classes):
     """Collapse (K+1)-way logits to K-way rows summing to 1.
 
@@ -42,7 +36,7 @@ def adjust_logits(raw, n_id_classes):
     """
     raw = np.asarray(raw, dtype=float)
     k = n_id_classes
-    out = _row_softmax(raw[:, :k])
+    out = softmax(raw[:, :k], axis=1)
     ood_rows = np.argmax(raw, axis=1) == k
     out[ood_rows] = 1.0 / k
     return out

@@ -81,10 +81,9 @@ def gen_mixture_2d(seed, n_train_per_class=1000, n_test_per_class=500,
     return train, test, ood, specs + [ood_spec]
 
 
-def gen_feature_set(n_classes, dim, n_per_class, separation, seed,
-                    label_offset=0):
+def gen_feature_set(n_classes, dim, n_per_class, separation, seed):
     """K isotropic unit-variance Gaussian clusters with the given minimum
-    pairwise center distance; labels 1..K (shifted by label_offset)."""
+    pairwise center distance; labels 1..K."""
     if n_classes < 2 or dim < 2:
         raise ValueError("need n_classes >= 2 and dim >= 2")
     rng = _rng(seed)
@@ -100,5 +99,5 @@ def gen_feature_set(n_classes, dim, n_per_class, separation, seed,
     feats, labels = [], []
     for i in range(n_classes):
         feats.append(centers[i] + rng.standard_normal((n_per_class, dim)))
-        labels.append(np.full(n_per_class, i + 1 + label_offset))
+        labels.append(np.full(n_per_class, i + 1))
     return FeatureBatch(np.vstack(feats), np.concatenate(labels))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import softmax
+
 
 class ShapeMismatch(Exception):
     pass
@@ -79,13 +81,6 @@ def positional_encoding(d_hat0, tau):
     return pe
 
 
-def _colsoftmax4(p):
-    """Softmax over axis 2 of an (n, heads, tau, tau) score tensor."""
-    shifted = p - p.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
-
-
 def forward_trunk(model, x):
     """Run the input map and all blocks on a batch x of shape (n, d0, tau).
 
@@ -108,7 +103,7 @@ def forward_trunk(model, x):
         q_ = np.einsum("hmd,ndt->nhmt", wq, h)
         v_ = np.einsum("hvd,ndt->nhvt", wv, h)
         scores = np.einsum("nhmt,nhms->nhts", k_, q_)
-        s = _colsoftmax4(scores)
+        s = softmax(scores, axis=2)
         av = np.einsum("nhvt,nhts->nhvs", v_, s)
         att = h + np.einsum("hdv,nhvs->nds", wo, av)
         z = np.einsum("rd,ndt->nrt", w1, att) + b1[None, :, None]
@@ -175,35 +170,6 @@ def trunk_backward(model, cache, dhidden):
     grads["input.W"] = np.einsum("nat,nbt->ab", dh, cache["xpe"])
     grads["input.b"] = dh.sum(axis=(0, 2))
     return grads
-
-
-def forward(model, x):
-    """Single-sample forward: x (d0, tau) -> (hidden (d_hat, tau), logits (K+1,))."""
-    hidden, _ = forward_trunk(model, np.asarray(x, dtype=float)[None])
-    logits, _ = head_forward(model, hidden)
-    return hidden[0], logits[0]
-
-
-def backward(model, x, dlogits):
-    """Full analytic gradient for a batch x and upstream d(logits)."""
-    hidden, cache = forward_trunk(model, x)
-    logits, g = head_forward(model, hidden)
-    head_grads, dhidden = head_backward(model, hidden, g, dlogits)
-    grads = trunk_backward(model, cache, dhidden)
-    grads.update(head_grads)
-    return grads
-
-
-def classify_max(logits):
-    """Label in {1..K+1}; lowest index wins ties."""
-    return int(np.argmax(logits)) + 1
-
-
-def classify_scored(logits, score_fn, lambda_thr):
-    """Score-based rule: K+1 when the score is below lambda, else argmax."""
-    if score_fn(logits) < lambda_thr:
-        return len(logits)
-    return classify_max(logits)
 
 
 def sgd_step(model, grads, lr, weight_decay=0.0):

@@ -18,7 +18,7 @@ import pytest
 from oodkit import cli, harness
 from oodkit import metrics as metrics_mod
 from oodkit import transformer as tfm
-from oodkit.loss import loss_grad_logits, loss_total
+from oodkit.loss import batch_loss_and_grad
 from oodkit.numerics import mahalanobis_sq, regularized_inverse
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              build_ood_centers, filter_fake_ood,
@@ -138,7 +138,10 @@ def test_criterion_4_gradient_checks(capsys):
         model = tfm.init_model(2, tau, 2, budget, 2, seed=1000 + i)
         x = _input_off_relu_kink(model, rng, (2, 2, tau))
         dlogits = rng.standard_normal((2, model.n_classes))
-        analytic = tfm.backward(model, x, dlogits)
+        hidden, cache = tfm.forward_trunk(model, x)
+        _, g = tfm.head_forward(model, hidden)
+        analytic, dhidden = tfm.head_backward(model, hidden, g, dlogits)
+        analytic.update(tfm.trunk_backward(model, cache, dhidden))
         numeric = _finite_difference_grads(model, x, dlogits)
         for name in analytic:
             a, b = analytic[name], numeric[name]
@@ -155,14 +158,14 @@ def test_criterion_4_gradient_checks(capsys):
         y = rng.dirichlet(np.ones(k + 1))
         logits = rng.standard_normal(k + 1) * 3
         gamma = float(rng.uniform(0, 1))
-        a = loss_grad_logits(y, logits, gamma)
+        a = batch_loss_and_grad(y[None], logits[None], gamma)[3][0]
         n = np.zeros_like(a)
         for j in range(len(logits)):
             lp, lm = logits.copy(), logits.copy()
             lp[j] += 1e-6
             lm[j] -= 1e-6
-            n[j] = (loss_total(y, lp, gamma)
-                    - loss_total(y, lm, gamma)) / 2e-6
+            n[j] = (batch_loss_and_grad(y[None], lp[None], gamma)[2]
+                    - batch_loss_and_grad(y[None], lm[None], gamma)[2]) / 2e-6
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
         worst_loss = max(worst_loss, float(np.max(np.abs(a - n) / denom)))
 

@@ -14,6 +14,7 @@ from oodkit import postprocess as post
 from oodkit import transformer as tfm
 from oodkit.harness import (ExperimentConfig, FormatError, read_feature_file,
                             write_feature_file)
+from oodkit.outliers import load_grod_state, save_grod_state
 from oodkit.synthdata import FeatureBatch, gen_mixture_2d
 
 
@@ -45,9 +46,12 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("scorer", "foo"), ("lr", 0), ("lr", "-1"), ("temperature", 0.0),
-        ("temperature", "-0.5")])
+        ("temperature", "-0.5"), ("lr", "abc"), ("warmup_batches", "abc"),
+        ("gamma", "1.5"), ("grod_enabled", "ture"), ("sweep_depths", "1,x"),
+        ("epochs", "2.5"), ("lr", "nan"), ("num", "-1"), ("heads", "0"),
+        ("a", "0"), ("gamma_opt", "0")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
-        with pytest.raises(FormatError, match=key):
+        with pytest.raises(FormatError, match=rf"^{key}\b"):
             ExperimentConfig({key: value})
 
     def test_every_scorer_accepted(self):
@@ -80,6 +84,16 @@ class TestExperimentConfig:
             {"grod_enabled": "false"}).get_bool("grod_enabled") is False
         assert ExperimentConfig(
             {"grod_enabled": "1"}).get_bool("grod_enabled") is True
+        for word, value in (("true", True), ("Yes", True), ("on", True),
+                            ("0", False), ("no", False), (" OFF ", False)):
+            assert ExperimentConfig(
+                {"grod_enabled": word}).get_bool("grod_enabled") is value
+
+    def test_raw_values_hashed(self):
+        # the hash reads the values as written, not as parsed
+        assert ExperimentConfig().hash() == "50ed71bbab0b51a1"
+        assert ExperimentConfig({"epochs": "3", "grod_enabled": "false",
+                                 "lr": "0.005"}).hash() == "fdb22c96aaadeba4"
 
 
 class TestFeatureFile:
@@ -223,6 +237,25 @@ class TestTrainEval:
         assert summary.fpr_at_95 == 0.0
         assert summary.id_acc == 1.0
 
+    @pytest.mark.parametrize("scorer,forwarded", [
+        ("msp", ["test", "ood"]), ("energy", ["test", "ood"]),
+        ("vim", ["train", "test", "ood"])])
+    def test_train_rows_forwarded_only_for_vim(self, monkeypatch, scorer,
+                                               forwarded):
+        train, test, ood, _ = gen_mixture_2d(79, 100, 50, 80)
+        names = {id(b.features): n for n, b in
+                 (("train", train), ("test", test), ("ood", ood))}
+        real, seen = harness._model_outputs, []
+
+        def counting(model, features):
+            seen.append(names[id(features)])
+            return real(model, features)
+
+        monkeypatch.setattr(harness, "_model_outputs", counting)
+        model = tfm.init_model(2, 1, 1, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
+        harness.evaluate_model(model, train, test, ood, 2, scorer=scorer)
+        assert seen == forwarded
+
     def test_report_metrics_match_metrics_module(self, tmp_path):
         cfg = small_config(grod_enabled="false", gamma=0.0, scorer="msp")
         harness.cmd_gen_data(cfg, 79, str(tmp_path))
@@ -302,11 +335,29 @@ class TestTrainEval:
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
         _, state, _ = harness.train_model(cfg, 79, train, 2, d_hat0=2)
         path = tmp_path / "state.npz"
-        harness._save_grod_state(state, path)
-        loaded = harness.load_grod_state(path)
+        save_grod_state(state, path)
+        loaded = load_grod_state(path)
         np.testing.assert_array_equal(loaded.mu_pca, state.mu_pca)
         assert loaded.dist_id_pca == state.dist_id_pca
         assert sorted(loaded.mu_lda) == sorted(state.mu_lda)
+        with np.load(path) as data:     # an initialized state has no pool
+            assert "pool_f" not in data.files
+
+    def test_grod_state_round_trip_keeps_warmup_pool(self, tmp_path):
+        cfg = small_config(grod_enabled="true", gamma=0.1,
+                           warmup_batches=100)
+        harness.cmd_gen_data(cfg, 79, str(tmp_path))
+        harness.cmd_train(cfg, 79, str(tmp_path))
+        loaded = load_grod_state(tmp_path / "grod_state.npz")
+        train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
+        _, state, _ = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        # 180 fit rows in batches of 32 give 6 batches in each of 2 epochs
+        assert not loaded.initialized and loaded.batch_index == 12
+        np.testing.assert_array_equal(np.vstack(loaded.pool_f),
+                                      np.vstack(state.pool_f))
+        np.testing.assert_array_equal(np.concatenate(loaded.pool_y),
+                                      np.concatenate(state.pool_y))
+        assert np.vstack(loaded.pool_f).shape == (360, 2)
 
 
 class TestSweep:
@@ -365,6 +416,19 @@ class TestCli:
                        "--seed", "0", "--out", str(tmp_path)])
         assert rc == 1
         assert "error: FormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "lr=abc", "warmup_batches=abc", "gamma=1.5", "grod_enabled=ture"])
+    def test_bad_value_fails_at_load_naming_key(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        rc = cli.main(["gen-data", "--config", str(cfg_path),
+                       "--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: FormatError: {line.split('=')[0]}")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_scorer_fails_before_training(self, tmp_path, capsys):
         harness.cmd_gen_data(small_config(), 79, str(tmp_path))

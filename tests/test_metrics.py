@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oodkit.metrics import (EmptyClass, LengthMismatch, _average_ranks, aupr,
-                            aupr_in, aupr_out, auroc, fpr_at_tpr, id_accuracy,
-                            pick_threshold)
+from oodkit.metrics import (EmptyClass, LengthMismatch, NonFiniteScore,
+                            _average_ranks, aupr, aupr_in, aupr_out, auroc,
+                            fpr_at_tpr, id_accuracy, pick_threshold)
 
 
 def auroc_oracle(id_scores, ood_scores):
@@ -248,3 +248,17 @@ class TestMonotoneInvariance:
         assert fpr_at_tpr(t(a), t(b)) == pytest.approx(fpr_at_tpr(a, b),
                                                        abs=1e-12)
         assert aupr(t(a), t(b)) == pytest.approx(aupr(a, b), abs=1e-12)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn,arg", [
+        (auroc, 0), (auroc, 1), (aupr, 0), (aupr, 1), (aupr_out, 0),
+        (aupr_out, 1), (fpr_at_tpr, 0), (fpr_at_tpr, 1), (pick_threshold, 0)])
+    def test_rejected_naming_argument_and_index(self, fn, arg, bad):
+        args = [np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.25])]
+        args[arg][1] = bad
+        names = ("pos_scores", "neg_scores") if fn is aupr else \
+            ("id_scores", "ood_scores")
+        with pytest.raises(NonFiniteScore, match=rf"{names[arg]}\[1\]"):
+            fn(*args[:1 if fn is pick_threshold else 2])

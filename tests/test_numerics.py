@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodkit.numerics import (DimensionMismatch, NotPositiveDefinite,
-                             TooFewSamples, column_softmax, mahalanobis_sq,
+                             TooFewSamples, mahalanobis_sq,
                              regularized_cholesky, regularized_inverse,
-                             sample_covariance)
+                             sample_covariance, softmax)
 
 
 def random_spd(rng, dim, cond_max=1e6):
@@ -154,18 +154,27 @@ class TestSampleCovariance:
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 
 
+def column_softmax_on_axes(m):
+    """The column softmax of a 2-d m three ways: softmax along axis 0 of m,
+    along axis 1 of m.T (rows, as soft labels and logit adjustment use it)
+    and along axis 2 of m.T as a (c, 1, r) tensor (as attention uses it)."""
+    m = np.asarray(m, dtype=float)
+    return [softmax(m, 0), softmax(m.T, 1).T,
+            softmax(m.T[:, None, :], 2)[:, 0, :].T]
+
+
 class TestColumnSoftmax:
     def test_symmetric_column(self):
-        np.testing.assert_allclose(column_softmax(np.array([[0.0], [0.0]])),
-                                   [[0.5], [0.5]])
+        for out in column_softmax_on_axes([[0.0], [0.0]]):
+            np.testing.assert_allclose(out, [[0.5], [0.5]])
 
     def test_no_overflow_on_large_inputs(self):
-        out = column_softmax(np.array([[1000.0], [1000.0]]))
-        np.testing.assert_allclose(out, [[0.5], [0.5]])
+        for out in column_softmax_on_axes([[1000.0], [1000.0]]):
+            np.testing.assert_allclose(out, [[0.5], [0.5]])
 
     def test_hand_values(self):
-        out = column_softmax(np.array([[0.0], [np.log(3.0)]]))
-        np.testing.assert_allclose(out, [[0.25], [0.75]], rtol=1e-12)
+        for out in column_softmax_on_axes([[0.0], [np.log(3.0)]]):
+            np.testing.assert_allclose(out, [[0.25], [0.75]], rtol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -173,8 +182,8 @@ class TestColumnSoftmax:
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((int(rng.integers(1, 6)),
                                  int(rng.integers(1, 6)))) * 10
-        out = column_softmax(m)
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(out > 0) and np.all(out < 1 + 1e-12)
-        np.testing.assert_array_equal(np.argmax(out, axis=0),
-                                      np.argmax(m, axis=0))
+        for out in column_softmax_on_axes(m):
+            np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
+            assert np.all(out > 0) and np.all(out < 1 + 1e-12)
+            np.testing.assert_array_equal(np.argmax(out, axis=0),
+                                          np.argmax(m, axis=0))

@@ -13,8 +13,9 @@ from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              class_distances, factor_snapshot,
                              filter_fake_ood, grod_augment_batch,
                              id_reference_distances, initialize_state,
-                             one_hot, sample_fake_ood, select_classes,
-                             soft_labels, update_centers)
+                             load_grod_state, one_hot, sample_fake_ood,
+                             save_grod_state, select_classes, soft_labels,
+                             update_centers)
 from oodkit.projections import BoundarySet
 
 
@@ -530,9 +531,10 @@ class TestAugmentBatch:
         np.testing.assert_array_equal(f_all, f)
         np.testing.assert_array_equal(labels, one_hot(y, 2))
 
-    def test_state_round_trip(self):
+    def test_state_round_trip(self, tmp_path):
         _, state = self.run_post_warmup(seed=28)
-        clone = GrodState.from_dict(state.to_dict())
+        save_grod_state(state, tmp_path / "state.npz")
+        clone = load_grod_state(tmp_path / "state.npz")
         np.testing.assert_array_equal(clone.mu_pca, state.mu_pca)
         np.testing.assert_array_equal(clone.cov_pca, state.cov_pca)
         assert clone.dist_id_pca == state.dist_id_pca

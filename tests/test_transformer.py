@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oodkit import transformer as tfm
+from oodkit.postprocess import score_report
 
 
 def finite_difference_grads(model, x, dlogits, step=1e-5):
@@ -29,6 +30,16 @@ def finite_difference_grads(model, x, dlogits, step=1e-5):
             p[idx] = orig
             g[idx] = (plus - minus) / (2 * step)
         grads[name] = g
+    return grads
+
+
+def full_backward(model, x, dlogits):
+    """Gradients of every parameter: forward_trunk -> head_forward ->
+    head_backward -> trunk_backward, as one training step composes them."""
+    hidden, cache = tfm.forward_trunk(model, x)
+    _, g = tfm.head_forward(model, hidden)
+    grads, dhidden = tfm.head_backward(model, hidden, g, dlogits)
+    grads.update(tfm.trunk_backward(model, cache, dhidden))
     return grads
 
 
@@ -102,8 +113,9 @@ class TestForward:
             float(p["head.W4"][c] @ (p["head.W3"][c] @ h_out
                                      + p["head.b3"][c]).T + p["head.b4"][c])
             for c in range(model.n_classes)])
-        _, got = tfm.forward(model, x[0])
-        np.testing.assert_allclose(got, logits, atol=1e-10)
+        hidden, _ = tfm.forward_trunk(model, x)
+        got, _ = tfm.head_forward(model, hidden)
+        np.testing.assert_allclose(got[0], logits, atol=1e-10)
 
     def test_forward_deterministic(self):
         model = small_model(6)
@@ -122,7 +134,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = small_model(9)
         x = np.random.default_rng(10).standard_normal((3, 2, 1))
-        grads = tfm.backward(model, x, np.zeros((3, model.n_classes)))
+        grads = full_backward(model, x, np.zeros((3, model.n_classes)))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -139,7 +151,7 @@ class TestBackward:
                    for layer in cache["layers"]) > 1e-4:
                 break
         dlogits = rng.standard_normal((3, model.n_classes))
-        analytic = tfm.backward(model, x, dlogits)
+        analytic = full_backward(model, x, dlogits)
         numeric = finite_difference_grads(model, x, dlogits)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -162,32 +174,36 @@ class TestBackward:
         np.testing.assert_allclose(grads["head.b3"], expected_b3, atol=1e-12)
 
 
+def predictions(logits, score=0.0, threshold=0.0):
+    """score_report's label for one row of K-way logits: argmax + 1, or K+1
+    when the score is below the threshold."""
+    report = score_report([score], np.asarray([logits], dtype=float),
+                          [threshold])
+    return report.predictions[0]
+
+
 class TestClassify:
     def test_classify_max_examples(self):
-        assert tfm.classify_max([0.1, 0.9, 0.2]) == 2
-        assert tfm.classify_max([-1.0, -2.0, 5.0]) == 3
+        assert predictions([0.1, 0.9, 0.2]) == 2
+        assert predictions([-1.0, -2.0, 5.0]) == 3
 
     def test_tie_break_lowest_index(self):
-        assert tfm.classify_max([1.0, 1.0, 1.0]) == 1
+        assert predictions([1.0, 1.0, 1.0]) == 1
 
     def test_invariance_shift_and_scale(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             logits = rng.standard_normal(4)
-            base = tfm.classify_max(logits)
-            assert tfm.classify_max(logits + 7.3) == base
-            assert tfm.classify_max(logits * 2.5) == base
+            base = predictions(logits)
+            assert predictions(logits + 7.3) == base
+            assert predictions(logits * 2.5) == base
 
     def test_classify_scored_branches(self):
-        score = {0.4: 0.4, 0.9: 0.9}
-        assert tfm.classify_scored([1.0, 0.0, 0.0],
-                                   lambda lg: 0.4, 0.5) == 3
-        assert tfm.classify_scored([0.0, 1.0, 0.0],
-                                   lambda lg: 0.9, 0.5) == 2
+        # K = 2: a score below the threshold gives K+1, otherwise argmax + 1
+        assert predictions([1.0, 0.0], 0.4, 0.5) == 3
+        assert predictions([0.0, 1.0], 0.9, 0.5) == 2
         # boundary: score == threshold stays on the argmax branch
-        assert tfm.classify_scored([0.0, 1.0, 0.0],
-                                   lambda lg: 0.5, 0.5) == 2
-        del score
+        assert predictions([0.0, 1.0], 0.5, 0.5) == 2
 
 
 class TestOptimizers:
