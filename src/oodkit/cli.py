@@ -29,7 +29,7 @@ def main(argv=None):
     try:
         config = (harness.ExperimentConfig.from_file(args.config)
                   if args.config else harness.ExperimentConfig())
-        seed = args.seed if args.seed is not None else config.get_int("seed")
+        seed = args.seed if args.seed is not None else config.seed
         if args.command == "gen-data":
             harness.cmd_gen_data(config, seed, args.out)
         elif args.command == "train":

@@ -1,8 +1,11 @@
-"""Experiment orchestration: config and feature-file I/O, the fine-tuning
-loop with synthetic-outlier augmentation, evaluation, the capacity sweep,
-and JSON report emission."""
+"""Experiment orchestration: the typed config (which also carries the model
+shape), feature-file I/O, the fine-tuning loop with synthetic-outlier
+augmentation, evaluation, the capacity sweep, and JSON report emission.
+Configs derived with `dataclasses.replace` (ingest's head-only model, the
+sweep's rows) are range-checked again."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,102 +38,121 @@ class IoError(Exception):
 # ---------------------------------------------------------------------------
 # config
 
-DEFAULTS = {
-    "task": "mixture2d",
-    "seed": 0,
-    "epochs": 10,
-    "batch_size": 64,
-    # model
-    "depth": 2,
-    "d_hat": 2,
-    "heads": 2,
-    "m_h": 1,
-    "m_v": 1,
-    "ff": 4,
-    # optimizer
-    "optimizer": "adamw",
-    "lr": 1e-4,
-    "weight_decay": 5e-2,
-    # outlier engine
-    "grod_enabled": True,
-    "gamma": 0.1,
-    "a": 0.1,
-    "gamma_opt": 0.1,
-    "warmup_batches": 5,
-    "lambda_filter": 0.1,
-    "num": 0,              # 0 -> auto
-    "pca_axes": 0,         # 0 -> auto
-    "lda_axes": 0,
-    # scoring
-    "scorer": "vim",
-    "temperature": 1.0,
-    # data generation
-    "n_train_per_class": 1000,
-    "n_test_per_class": 500,
-    "n_ood": 1000,
-    "classes": 4,
-    "dim": 64,
-    "n_per_class": 200,
-    "separation": 12.0,
-    # capacity sweep
-    "sweep_depths": "1,2,4,8,16",
-    "sweep_seeds": "1,2,3,4,5",
-    "val_fraction": 0.1,
-}
-
-
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
               "0": False, "false": False, "no": False, "off": False}
 
 
-class ExperimentConfig:
-    """Flat key-value config with typed access and a stable hash of the raw
-    values; every key is parsed by its DEFAULTS type and checked at load."""
+# annotated type -> (name in error messages, parser of the stripped text)
+PARSERS = {str: ("str", str), int: ("int", int), float: ("float", float),
+           bool: ("bool", lambda text: BOOL_WORDS[text.lower()]),
+           tuple[int, ...]: ("int list", lambda text: tuple(
+               int(x) for x in text.split(",") if x.strip()))}
 
-    def __init__(self, values=None):
-        self.values = dict(DEFAULTS)
-        for k, v in (values or {}).items():
-            if k not in DEFAULTS:
-                raise FormatError(f"unknown config key: {k}")
-            self.values[k] = v
-        for key, default in DEFAULTS.items():
-            kind = ("int_list" if key.startswith("sweep_")
-                    else type(default).__name__)
-            try:    # get_int, get_float, get_bool, get_int_list or get
-                value = getattr(self, f"get_{kind}", self.get)(key)
-            except (KeyError, TypeError, ValueError):
-                raise FormatError(f"{key}: expected {kind}, "
-                                  f"got {self.values[key]!r}") from None
-            if kind == "float" and not math.isfinite(value):
-                raise FormatError(f"{key} must be finite")
-        for key, low in (("batch_size", 2), ("epochs", 1), ("depth", 0),
-                         ("d_hat", 1), ("heads", 1), ("m_h", 1), ("m_v", 1),
-                         ("ff", 1), ("warmup_batches", 0), ("num", 0),
-                         ("pca_axes", 0), ("lda_axes", 0)):
-            if self.get_int(key) < low:
+# key -> smallest allowed value
+MINIMUMS = {"seed": 0, "batch_size": 2, "epochs": 1, "depth": 0, "d_hat": 1,
+            "heads": 1, "m_h": 1, "m_v": 1, "ff": 1, "warmup_batches": 0,
+            "num": 0, "pca_axes": 0, "lda_axes": 0, "n_train_per_class": 2,
+            "n_test_per_class": 1, "n_ood": 1, "classes": 2, "dim": 2,
+            "n_per_class": 2}
+CHOICES = {"task": ("mixture2d", "ingest"), "optimizer": ("adamw", "sgd"),
+           "scorer": SCORERS}
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    """One field per config key.  `parse`/`from_file` read the raw strings
+    once; `__post_init__` checks the ranges and builds `grod`, the outlier
+    engine's config.  The hash reads the values as written."""
+
+    task: str = "mixture2d"
+    seed: int = 0
+    epochs: int = 10
+    batch_size: int = 64
+    # model shape
+    depth: int = 2
+    d_hat: int = 2
+    heads: int = 2
+    m_h: int = 1
+    m_v: int = 1
+    ff: int = 4
+    # optimizer
+    optimizer: str = "adamw"
+    lr: float = 1e-4
+    weight_decay: float = 5e-2
+    # outlier engine
+    grod_enabled: bool = True
+    gamma: float = 0.1
+    a: float = 0.1
+    gamma_opt: float = 0.1
+    warmup_batches: int = 5
+    lambda_filter: float = 0.1
+    num: int = 0              # 0 -> auto
+    pca_axes: int = 0         # 0 -> auto
+    lda_axes: int = 0         # 0 -> auto
+    # scoring
+    scorer: str = "vim"
+    temperature: float = 1.0
+    # data generation
+    n_train_per_class: int = 1000
+    n_test_per_class: int = 500
+    n_ood: int = 1000
+    classes: int = 4
+    dim: int = 64
+    n_per_class: int = 200
+    separation: float = 12.0
+    # capacity sweep
+    sweep_depths: tuple[int, ...] = (1, 2, 4, 8, 16)
+    sweep_seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    val_fraction: float = 0.1
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise FormatError(f"{f.name} must be finite")
+        for key, low in MINIMUMS.items():
+            if getattr(self, key) < low:
                 raise FormatError(f"{key} must be >= {low}")
-        if self.get("scorer") not in SCORERS:
-            raise FormatError(f"scorer must be one of {'/'.join(SCORERS)}")
-        for key in ("lr", "temperature"):
-            if self.get_float(key) <= 0:
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise FormatError(f"{key} must be one of {'/'.join(allowed)}")
+        for key in ("lr", "temperature", "separation"):
+            if getattr(self, key) <= 0:
                 raise FormatError(f"{key} must be > 0")
-        try:
-            self.grod = GrodConfig(
-                a=self.get_float("a"), gamma=self.get_float("gamma"),
-                gamma_opt=self.get_float("gamma_opt"),
-                num=self.get_int("num") or None,
-                warmup_batches=self.get_int("warmup_batches"),
-                lambda_filter=self.get_float("lambda_filter"),
-                pca_axes=self.get_int("pca_axes") or None,
-                lda_axes=self.get_int("lda_axes") or None)
+        if not 0 <= self.val_fraction < 1:
+            raise FormatError("val_fraction must be in [0, 1)")
+        try:    # from the outlier-engine fields that the config has
+            grod = GrodConfig(**{f.name: getattr(self, f.name)
+                                 for f in dataclasses.fields(GrodConfig)
+                                 if hasattr(self, f.name)})
         except ValueError as exc:
             raise FormatError(str(exc)) from None
+        object.__setattr__(self, "grod", grod)
+        object.__setattr__(self, "_raw", {})
+
+    @classmethod
+    def parse(cls, values):
+        """Config from raw values (strings, or anything whose str() parses);
+        every failure is a FormatError naming the key."""
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        typed = {}
+        for key, raw in values.items():
+            if key not in fields:
+                raise FormatError(f"unknown config key: {key}")
+            kind, convert = PARSERS[fields[key]]
+            try:
+                typed[key] = convert(str(raw).strip())
+            except (KeyError, ValueError):
+                raise FormatError(f"{key}: expected {kind}, "
+                                  f"got {raw!r}") from None
+        config = cls(**typed)
+        object.__setattr__(config, "_raw", dict(values))
+        return config
 
     @classmethod
     def from_file(cls, path):
         values = {}
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for ln, line in enumerate(fh, start=1):
                     line = line.strip()
                     if not line or line.startswith("#"):
@@ -138,39 +160,31 @@ class ExperimentConfig:
                     if "=" not in line:
                         raise FormatError(f"{path}:{ln}: expected key=value")
                     key, _, val = line.partition("=")
-                    values[key.strip()] = val.strip()
+                    key = key.strip()
+                    if key in values:
+                        raise FormatError(f"{path}:{ln}: duplicate key {key}")
+                    values[key] = val.strip()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
         except OSError as exc:
             raise IoError(f"cannot read config {path}: {exc}") from exc
-        return cls(values)
-
-    def get(self, key):
-        return self.values[key]
-
-    def get_int(self, key):
-        return int(self.values[key])
-
-    def get_float(self, key):
-        return float(self.values[key])
-
-    def get_bool(self, key):
-        v = self.values[key]
-        if isinstance(v, bool):
-            return v
-        return BOOL_WORDS[str(v).strip().lower()]
-
-    def get_int_list(self, key):
-        return [int(x) for x in str(self.values[key]).split(",") if x.strip()]
+        return cls.parse(values)
 
     def canonical(self):
-        return "\n".join(f"{k}={self.values[k]}" for k in sorted(self.values))
+        """Sorted `key=value` lines: each value as given to `parse`, else
+        the typed value (a tuple joined by commas)."""
+        values = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
+                  for k, v in dataclasses.asdict(self).items()}
+        values.update(self._raw)
+        return "\n".join(f"{k}={values[k]}" for k in sorted(values))
 
     def hash(self):
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
+    @property
     def budget(self):
-        return tfm.Budget(d_hat=self.get_int("d_hat"), h=self.get_int("heads"),
-                          m_h=self.get_int("m_h"), m_V=self.get_int("m_v"),
-                          r=self.get_int("ff"))
+        return tfm.Budget(d_hat=self.d_hat, h=self.heads, m_h=self.m_h,
+                          m_V=self.m_v, r=self.ff)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +220,8 @@ def read_feature_file(path):
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+    if rows < 1:
+        raise FormatError(f"{path}:1: no rows")
     if len(lines) - 1 != rows:
         raise FormatError(f"{path}: header promises {rows} rows, "
                           f"found {len(lines) - 1}")
@@ -259,32 +275,34 @@ def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
     return 0.5 * (acc + sep)
 
 
-def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
-                frozen=(), depth=None, budget=None, identity_input=False):
-    """Fine-tuning loop shared by the 2-d task and the ingestion path.
+def train_model(config, seed, train_batch, n_id_classes,
+                identity_input=False):
+    """Fine-tuning loop shared by the 2-d task and the ingestion path; the
+    model has the config's depth and budget, the features' width as input,
+    and with `identity_input` a frozen identity input map.
 
     Returns (model, grod_state, log).  The best epoch's parameters (by the
     held-out criterion) are restored before returning.
     """
     k = n_id_classes
     tau = 1
-    d_hat0 = d_hat0 or train_batch.features.shape[1]
-    depth = config.get_int("depth") if depth is None else depth
-    budget = budget or config.budget()
-    model = tfm.init_model(d_hat0, tau, depth, budget, k, seed * 7 + 1)
+    d_hat0 = train_batch.features.shape[1]
+    budget = config.budget
+    model = tfm.init_model(d_hat0, tau, config.depth, budget, k, seed * 7 + 1)
     if identity_input:
         model.params["input.W"] = np.eye(budget.d_hat, d_hat0)
         model.params["input.b"] = np.zeros(budget.d_hat)
 
-    grod_enabled = config.get_bool("grod_enabled")
-    grod_cfg = config.grod
-    grod_state = GrodState(n_id_classes=k,
-                           dim=budget.d_hat * tau) if grod_enabled else None
+    grod_state = (GrodState(n_id_classes=k, dim=budget.d_hat * tau)
+                  if config.grod_enabled else None)
     grod_rng = np.random.Generator(np.random.Philox(seed * 7 + 3))
     shuffle_rng = np.random.Generator(np.random.Philox(seed * 7 + 2))
 
     n = train_batch.features.shape[0]
-    n_val = max(1, int(round(config.get_float("val_fraction") * n)))
+    n_val = max(1, int(round(config.val_fraction * n)))
+    if n - n_val < 2:
+        raise FormatError(f"val_fraction={config.val_fraction} leaves "
+                          f"{n - n_val} of {n} rows for training")
     perm = np.random.Generator(np.random.Philox(seed * 7 + 5)).permutation(n)
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     x_all = _as_inputs(train_batch.features, d_hat0, tau)
@@ -292,54 +310,51 @@ def train_model(config, seed, train_batch, n_id_classes, d_hat0=None,
     fit_x, fit_y = x_all[fit_idx], train_batch.labels[fit_idx]
 
     opt_state = tfm.adamw_init(model)
-    use_adamw = config.get("optimizer") == "adamw"
-    lr = config.get_float("lr")
-    wd = config.get_float("weight_decay")
-    batch_size = config.get_int("batch_size")
-    gamma = config.get_float("gamma")
+    use_adamw = config.optimizer == "adamw"
 
     best_quality, best_params = -np.inf, None
     log = []
-    for epoch in range(config.get_int("epochs")):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(fit_x.shape[0])
         ep_l1, ep_l2, ep_fake, n_batches = 0.0, 0.0, 0, 0
         ep_fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
             if idx.size < 2:
                 continue
             xb, yb = fit_x[idx], fit_y[idx]
             hidden, cache = tfm.forward_trunk(model, xb)
             feats = hidden.reshape(idx.size, -1)
-            if grod_enabled:
+            if config.grod_enabled:
                 f_all, labels_all, info = grod_augment_batch(
-                    feats, yb, grod_state, grod_cfg, grod_rng)
+                    feats, yb, grod_state, config.grod, grod_rng)
             else:
                 f_all, labels_all = feats, one_hot(yb, k)
-                info = {"warmup": False, "n_fake": 0}
+                info = {"warmup": False, "n_fake": 0, "fallback": None}
             hidden_all = f_all.reshape(-1, budget.d_hat, tau)
             logits, g = tfm.head_forward(model, hidden_all)
-            gamma_eff = 0.0 if info["warmup"] else gamma
+            gamma_eff = 0.0 if info["warmup"] else config.gamma
             l1, l2, _, dlogits = loss_mod.batch_loss_and_grad(
                 labels_all, logits, gamma_eff)
             head_grads, dhidden = tfm.head_backward(model, hidden_all, g,
                                                     dlogits)
             grads = tfm.trunk_backward(model, cache, dhidden[:idx.size])
             grads.update(head_grads)
-            for name in frozen:
-                grads[name] = np.zeros_like(grads[name])
+            if identity_input:    # frozen: no gradient step, no decay
+                del grads["input.W"], grads["input.b"]
             if use_adamw:
-                tfm.adamw_step(model, grads, opt_state, lr=lr,
-                               weight_decay=wd)
+                tfm.adamw_step(model, grads, opt_state, lr=config.lr,
+                               weight_decay=config.weight_decay)
             else:
-                tfm.sgd_step(model, grads, lr, weight_decay=wd)
+                tfm.sgd_step(model, grads, config.lr,
+                             weight_decay=config.weight_decay)
             ep_l1 += l1
             ep_l2 += l2
             ep_fake += info["n_fake"]
-            if info.get("fallback"):
+            if info["fallback"]:
                 ep_fallbacks[info["fallback"]] += 1
             n_batches += 1
-        quality = _val_quality(model, val_x, val_y, grod_state, grod_cfg,
+        quality = _val_quality(model, val_x, val_y, grod_state, config.grod,
                                seed * 7 + 100 + epoch, k)
         if quality > best_quality:
             best_quality = quality
@@ -408,10 +423,6 @@ def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
 # ---------------------------------------------------------------------------
 # commands
 
-def _path(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
 def _write_json(path, payload):
     try:
         with open(path, "w") as fh:
@@ -423,21 +434,15 @@ def _write_json(path, payload):
 
 def cmd_gen_data(config, seed, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    task = config.get("task")
-    if task == "mixture2d":
+    if config.task == "mixture2d":
         train, test, ood, _ = synthdata.gen_mixture_2d(
-            seed,
-            n_train_per_class=config.get_int("n_train_per_class"),
-            n_test_per_class=config.get_int("n_test_per_class"),
-            n_ood=config.get_int("n_ood"))
+            seed, n_train_per_class=config.n_train_per_class,
+            n_test_per_class=config.n_test_per_class, n_ood=config.n_ood)
         k = 2
-    elif task == "ingest":
-        k = config.get_int("classes")
-        dim = config.get_int("dim")
-        npc = config.get_int("n_per_class")
-        n_test = max(1, npc // 2)
-        sep = config.get_float("separation")
-        full = synthdata.gen_feature_set(k, dim, npc + n_test, sep, seed)
+    else:
+        k, dim, npc = config.classes, config.dim, config.n_per_class
+        sep = config.separation
+        full = synthdata.gen_feature_set(k, dim, npc + npc // 2, sep, seed)
         train_rows, test_rows = [], []
         for c in range(1, k + 1):
             rows = np.nonzero(full.labels == c)[0]
@@ -452,53 +457,50 @@ def cmd_gen_data(config, seed, out_dir):
                      + np.random.Generator(np.random.Philox(seed + 2))
                      .standard_normal((npc, dim)))
         ood = synthdata.FeatureBatch(ood_feats, np.full(npc, k + 1))
-    else:
-        raise FormatError(f"unknown task for gen-data: {task}")
-    write_feature_file(_path(out_dir, "train.csv"), train, k)
-    write_feature_file(_path(out_dir, "test.csv"), test, k)
-    write_feature_file(_path(out_dir, "ood.csv"), ood, k)
+    for name, batch in (("train", train), ("test", test), ("ood", ood)):
+        write_feature_file(os.path.join(out_dir, f"{name}.csv"), batch, k)
     return out_dir
 
 
 def _load_dataset(out_dir):
-    train, k = read_feature_file(_path(out_dir, "train.csv"))
-    test, _ = read_feature_file(_path(out_dir, "test.csv"))
-    ood, _ = read_feature_file(_path(out_dir, "ood.csv"))
+    train, k = read_feature_file(os.path.join(out_dir, "train.csv"))
+    test, _ = read_feature_file(os.path.join(out_dir, "test.csv"))
+    ood, _ = read_feature_file(os.path.join(out_dir, "ood.csv"))
     return train, test, ood, k
 
 
 def cmd_train(config, seed, out_dir):
     train, _, _, k = _load_dataset(out_dir)
-    task = config.get("task")
-    if task == "ingest":
-        s = train.features.shape[1]
-        model, state, log = train_model(
-            config, seed, train, k, d_hat0=s, depth=0,
-            budget=tfm.Budget(d_hat=s, h=1, m_h=1, m_V=1, r=1),
-            frozen=("input.W", "input.b"), identity_input=True)
+    if config.task == "ingest":    # head-only: identity input, no blocks
+        head_only = dataclasses.replace(
+            config, depth=0, d_hat=train.features.shape[1], heads=1, m_h=1,
+            m_v=1, ff=1)
+        model, state, log = train_model(head_only, seed, train, k,
+                                        identity_input=True)
     else:
-        model, state, log = train_model(config, seed, train, k, d_hat0=2)
+        model, state, log = train_model(config, seed, train, k)
     if state is not None and not state.initialized:
         print(f"warning: outlier generation never initialized "
-              f"(warmup_batches={config.get_int('warmup_batches')}, "
+              f"(warmup_batches={config.warmup_batches}, "
               f"training batches={state.batch_index})", file=sys.stderr)
-    tfm.save_model(model, _path(out_dir, "checkpoint.npz"))
-    save_grod_state(state, _path(out_dir, "grod_state.npz"))
-    _write_json(_path(out_dir, "train_log.json"),
+    tfm.save_model(model, os.path.join(out_dir, "checkpoint.npz"))
+    save_grod_state(state, os.path.join(out_dir, "grod_state.npz"))
+    _write_json(os.path.join(out_dir, "train_log.json"),
                 {"schema_version": REPORT_SCHEMA_VERSION,
                  "config_hash": config.hash(), "seed": seed, "epochs": log,
                  "grod": {"enabled": state is not None,
                           "initialized": state is not None
                           and state.initialized}})
-    return _path(out_dir, "checkpoint.npz")
+    return os.path.join(out_dir, "checkpoint.npz")
 
 
 def cmd_eval(config, seed, out_dir, checkpoint=None):
     train, test, ood, k = _load_dataset(out_dir)
-    model = tfm.load_model(checkpoint or _path(out_dir, "checkpoint.npz"))
+    model = tfm.load_model(checkpoint
+                           or os.path.join(out_dir, "checkpoint.npz"))
     summary, report = evaluate_model(
-        model, train, test, ood, k, scorer=config.get("scorer"),
-        temperature=config.get_float("temperature"))
+        model, train, test, ood, k, scorer=config.scorer,
+        temperature=config.temperature)
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config_hash": config.hash(),
@@ -515,7 +517,7 @@ def cmd_eval(config, seed, out_dir, checkpoint=None):
         },
         "threshold": report.threshold,
     }
-    _write_json(_path(out_dir, "report.json"), payload)
+    _write_json(os.path.join(out_dir, "report.json"), payload)
     return summary
 
 
@@ -528,30 +530,24 @@ def cmd_sweep_capacity(config, seed, out_dir):
     class, and per-class mean top-softmax scores.
     """
     os.makedirs(out_dir, exist_ok=True)
-    depths = config.get_int_list("sweep_depths")
-    seeds = config.get_int_list("sweep_seeds")
-    cfg = ExperimentConfig({"grod_enabled": "false", "gamma": 0.0,
-                            "epochs": config.get_int("epochs"),
-                            "batch_size": config.get_int("batch_size"),
-                            "lr": config.get_float("lr"),
-                            "weight_decay": config.get_float("weight_decay")})
+    ce_only = dataclasses.replace(config, grod_enabled=False, gamma=0.0)
+    narrow = dict(d_hat=2, heads=2, m_h=1, m_v=1, ff=4)
+    shapes = [("narrow", d, narrow) for d in config.sweep_depths] + [
+        ("wide", 2, dict(d_hat=10, heads=1, m_h=1, m_v=5, ff=10))]
+    runs = [(label, dataclasses.replace(ce_only, depth=depth, **shape))
+            for label, depth, shape in shapes]    # checked before training
     rows = []
-    configs = [("narrow", d, tfm.Budget(2, 2, 1, 1, 4)) for d in depths]
-    configs.append(("wide", 2, tfm.Budget(10, 1, 1, 5, 10)))
-    for label, depth, budget in configs:
-        for run_seed in seeds:
+    for label, cfg in runs:
+        for run_seed in config.sweep_seeds:
             train, test, ood, _ = synthdata.gen_mixture_2d(
-                run_seed,
-                n_train_per_class=config.get_int("n_train_per_class"),
-                n_test_per_class=config.get_int("n_test_per_class"),
-                n_ood=config.get_int("n_ood"))
-            model, _, _ = train_model(cfg, run_seed, train, 2, d_hat0=2,
-                                      depth=depth, budget=budget)
-            rows.append(_sweep_row(label, depth, run_seed, model, train,
+                run_seed, n_train_per_class=config.n_train_per_class,
+                n_test_per_class=config.n_test_per_class, n_ood=config.n_ood)
+            model, _, _ = train_model(cfg, run_seed, train, 2)
+            rows.append(_sweep_row(label, cfg.depth, run_seed, model, train,
                                    test, ood))
     payload = {"schema_version": REPORT_SCHEMA_VERSION,
                "config_hash": config.hash(), "seed": seed, "rows": rows}
-    _write_json(_path(out_dir, "sweep.json"), payload)
+    _write_json(os.path.join(out_dir, "sweep.json"), payload)
     return rows
 
 

@@ -37,13 +37,13 @@ class GrodConfig:
     a: float = 0.1                 # boundary extension length, > 0
     gamma: float = 0.1             # loss mix weight, in [0, 1]
     gamma_opt: float = 0.1         # EMA rate for centers/covs/dists, (0, 1]
-    num: int | None = None         # candidates per cluster group
+    num: int = 0                   # candidates per cluster group, 0 -> auto
     warmup_batches: int = 5
     lambda_filter: float = 0.1     # filter margin weight, >= 0
     eps: float = 1e-7
     eps0: float = 1e-4
-    pca_axes: int | None = None    # default min(s, 8)
-    lda_axes: int | None = None    # default min(K-1, 4)
+    pca_axes: int = 0              # 0 -> min(s, 8)
+    lda_axes: int = 0              # 0 -> min(K-1, 4)
 
     def __post_init__(self):
         for name, ok in (("a", self.a > 0), ("gamma", 0 <= self.gamma <= 1),
@@ -328,7 +328,8 @@ def grod_augment_batch(f, y, state, config, rng):
         if state.batch_index >= config.warmup_batches:
             initialize_state(state, np.vstack(state.pool_f),
                              np.concatenate(state.pool_y), config.eps0)
-        return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0}
+        return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
+                              "fallback": None}
 
     state.batch_index += 1
     counts = {int(c): int(n) for c, n in zip(*np.unique(y, return_counts=True))}

@@ -173,8 +173,10 @@ def trunk_backward(model, cache, dhidden):
 
 
 def sgd_step(model, grads, lr, weight_decay=0.0):
-    for name, p in model.params.items():
-        p -= lr * (grads[name] + weight_decay * p)
+    """Updates the parameters named in grads; the others stay as they are."""
+    for name, g in grads.items():
+        p = model.params[name]
+        p -= lr * (g + weight_decay * p)
     return model
 
 
@@ -192,12 +194,12 @@ def adamw_init(model):
 
 def adamw_step(model, grads, state, lr=1e-4, beta1=0.9, beta2=0.999,
                eps=1e-8, weight_decay=5e-2):
-    """Decoupled weight decay AdamW update, deterministic given state."""
+    """Decoupled weight decay AdamW update of the parameters in grads only."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, p in model.params.items():
-        g = grads[name]
+    for name, g in grads.items():
+        p = model.params[name]
         state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
         state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
         m_hat = state.m[name] / bc1

@@ -50,7 +50,7 @@ def test_criterion_1_scope(capsys):
 
 def test_criterion_2_capacity_sweep(capsys, tmp_path):
     t0 = time.time()
-    cfg = harness.ExperimentConfig({
+    cfg = harness.ExperimentConfig.parse({
         "grod_enabled": "false", "gamma": 0.0, "epochs": 10,
         "batch_size": 64, "lr": 0.01,
         "sweep_seeds": ",".join(map(str, SWEEP_SEEDS))})
@@ -71,19 +71,19 @@ def test_criterion_2_capacity_sweep(capsys, tmp_path):
 
 def test_criterion_3_outlier_gain(capsys):
     t0 = time.time()
-    base_cfg = harness.ExperimentConfig({
+    base_cfg = harness.ExperimentConfig.parse({
         "grod_enabled": "false", "gamma": 0.0, "epochs": 10,
         "batch_size": 64, "lr": 0.01, "scorer": "msp"})
-    aug_cfg = harness.ExperimentConfig({
+    aug_cfg = harness.ExperimentConfig.parse({
         "grod_enabled": "true", "gamma": 0.1, "epochs": 20,
         "batch_size": 64, "lr": 0.005, "scorer": "vim"})
     base_auc, aug_auc = [], []
     for seed in SWEEP_SEEDS:
         train, test, ood, _ = gen_mixture_2d(seed, 1000, 500, 1000)
         for cfg, out in ((base_cfg, base_auc), (aug_cfg, aug_auc)):
-            model, _, _ = harness.train_model(cfg, seed, train, 2, d_hat0=2)
+            model, _, _ = harness.train_model(cfg, seed, train, 2)
             summary, _ = harness.evaluate_model(
-                model, train, test, ood, 2, scorer=cfg.get("scorer"))
+                model, train, test, ood, 2, scorer=cfg.scorer)
             out.append(summary.auroc)
     gap = float(np.mean(aug_auc) - np.mean(base_auc))
     elapsed = time.time() - t0
@@ -381,7 +381,7 @@ def test_criterion_9_ingest_smoke(capsys, tmp_path):
     slowest = 0.0
     for seed in (1, 2, 3, 4, 5):
         for enabled, sink in (("true", aug_auc), ("false", base_auc)):
-            cfg = harness.ExperimentConfig({
+            cfg = harness.ExperimentConfig.parse({
                 "task": "ingest", "grod_enabled": enabled,
                 "gamma": 0.1 if enabled == "true" else 0.0,
                 "scorer": "msp", "epochs": 10, "batch_size": 64,

@@ -1,13 +1,17 @@
 """Tests for configuration, feature-file I/O, the training/eval commands
 and the CLI surface."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oodkit import cli, harness
 from oodkit import postprocess as post
@@ -22,78 +26,179 @@ def small_config(**overrides):
     values = {"n_train_per_class": 100, "n_test_per_class": 50, "n_ood": 80,
               "epochs": 2, "batch_size": 32, "lr": 0.01}
     values.update(overrides)
-    return ExperimentConfig(values)
+    return ExperimentConfig.parse(values)
 
 
 class TestExperimentConfig:
     def test_defaults_and_typed_access(self):
         cfg = ExperimentConfig()
-        assert cfg.get("task") == "mixture2d"
-        assert cfg.get_int("epochs") == 10
-        assert cfg.get_float("gamma") == 0.1
-        assert cfg.get_bool("grod_enabled") is True
-        assert cfg.get_int_list("sweep_depths") == [1, 2, 4, 8, 16]
+        assert cfg.task == "mixture2d"
+        assert cfg.epochs == 10
+        assert cfg.gamma == 0.1
+        assert cfg.grod_enabled is True
+        assert cfg.sweep_depths == (1, 2, 4, 8, 16)
+        assert len(dataclasses.fields(cfg)) == 34
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 3
+
+    def test_parse_once_into_typed_fields(self):
+        cfg = ExperimentConfig.parse({"epochs": " 3", "lr": "5e-3",
+                                      "sweep_seeds": "4, 5,", "num": "0",
+                                      "grod_enabled": "off"})
+        assert (cfg.epochs, cfg.lr, cfg.sweep_seeds) == (3, 0.005, (4, 5))
+        assert cfg.grod_enabled is False
+        assert cfg.grod.num == 0 and cfg.grod.gamma == cfg.gamma
+        assert cfg.budget == tfm.Budget(d_hat=2, h=2, m_h=1, m_V=1, r=4)
+
+    def test_replace_revalidates(self):
+        cfg = ExperimentConfig.parse({"epochs": "3"})
+        wide = dataclasses.replace(cfg, d_hat=10, m_v=5, gamma=0.0)
+        assert wide.budget.d_hat == 10 and wide.grod.gamma == 0.0
+        for key, value in (("epochs", 0), ("gamma", 1.5), ("task", "foo"),
+                           ("lr", float("inf"))):
+            with pytest.raises(FormatError, match=rf"^{key}\b"):
+                dataclasses.replace(cfg, **{key: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError):
-            ExperimentConfig({"no_such_key": 1})
+            ExperimentConfig.parse({"no_such_key": 1})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(FormatError):
-            ExperimentConfig({"batch_size": 1})
+            ExperimentConfig.parse({"batch_size": 1})
         with pytest.raises(FormatError):
-            ExperimentConfig({"epochs": 0})
+            ExperimentConfig.parse({"epochs": 0})
 
     @pytest.mark.parametrize("key,value", [
         ("scorer", "foo"), ("lr", 0), ("lr", "-1"), ("temperature", 0.0),
         ("temperature", "-0.5"), ("lr", "abc"), ("warmup_batches", "abc"),
         ("gamma", "1.5"), ("grod_enabled", "ture"), ("sweep_depths", "1,x"),
         ("epochs", "2.5"), ("lr", "nan"), ("num", "-1"), ("heads", "0"),
-        ("a", "0"), ("gamma_opt", "0")])
+        ("a", "0"), ("gamma_opt", "0"), ("lr", "inf"), ("optimizer", "adam"),
+        ("task", "foo"), ("val_fraction", "1.0"), ("val_fraction", "-0.1"),
+        ("classes", "1"), ("dim", "1"), ("n_per_class", "0"),
+        ("n_per_class", "1"), ("n_train_per_class", "1"),
+        ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
+        ("separation", "-12"), ("seed", "-1")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
-            ExperimentConfig({key: value})
+            ExperimentConfig.parse({key: value})
 
     def test_every_scorer_accepted(self):
         for scorer in ("msp", "energy", "vim"):
-            assert ExperimentConfig({"scorer": scorer}).get("scorer") == scorer
+            assert ExperimentConfig.parse({"scorer": scorer}).scorer == scorer
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nepochs = 3\ngamma=0.2\n\n")
         cfg = ExperimentConfig.from_file(path)
-        assert cfg.get_int("epochs") == 3
-        assert cfg.get_float("gamma") == 0.2
+        assert cfg.epochs == 3
+        assert cfg.gamma == 0.2
 
     def test_from_file_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("epochs 3\n")
         with pytest.raises(FormatError):
             ExperimentConfig.from_file(path)
+        path.write_bytes(b"epochs=\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            ExperimentConfig.from_file(path)
+
+    def test_from_file_rejects_duplicate_key(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("task=ingest\nepochs=3\n# again\ntask = mixture2d\n")
+        with pytest.raises(FormatError,
+                           match=r"dup\.cfg:4: duplicate key task$"):
+            ExperimentConfig.from_file(path)
 
     def test_hash_stable_and_sensitive(self):
-        a = ExperimentConfig({"epochs": 3})
-        b = ExperimentConfig({"epochs": 3})
-        c = ExperimentConfig({"epochs": 4})
+        a = ExperimentConfig.parse({"epochs": 3})
+        b = ExperimentConfig.parse({"epochs": 3})
+        c = ExperimentConfig.parse({"epochs": 4})
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert len(a.hash()) == 16
 
     def test_bool_parsing_from_strings(self):
-        assert ExperimentConfig(
-            {"grod_enabled": "false"}).get_bool("grod_enabled") is False
-        assert ExperimentConfig(
-            {"grod_enabled": "1"}).get_bool("grod_enabled") is True
+        assert ExperimentConfig.parse(
+            {"grod_enabled": "false"}).grod_enabled is False
+        assert ExperimentConfig.parse(
+            {"grod_enabled": "1"}).grod_enabled is True
         for word, value in (("true", True), ("Yes", True), ("on", True),
                             ("0", False), ("no", False), (" OFF ", False)):
-            assert ExperimentConfig(
-                {"grod_enabled": word}).get_bool("grod_enabled") is value
+            assert ExperimentConfig.parse(
+                {"grod_enabled": word}).grod_enabled is value
 
     def test_raw_values_hashed(self):
         # the hash reads the values as written, not as parsed
         assert ExperimentConfig().hash() == "50ed71bbab0b51a1"
-        assert ExperimentConfig({"epochs": "3", "grod_enabled": "false",
-                                 "lr": "0.005"}).hash() == "fdb22c96aaadeba4"
+        assert ExperimentConfig.parse({"epochs": "3", "grod_enabled": "false",
+                                       "lr": "0.005"}).hash() == \
+            "fdb22c96aaadeba4"
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+GOOD_LINES = ExperimentConfig().canonical().splitlines()   # key=default
+JUNK_VALUES = ["", " ", "nan", "NaN", "inf", "-inf", "1e309", "-1", "-0.5",
+               "0", "1", "2", "0.5", "1.0", "2.5", "abc", "ture", "1,x", ",",
+               "true", "off", "ingest", "adam", "sgd", "energy", "1,2"]
+LINE_TEXT = st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\n\r")
+KEY_VALUE_LINE = st.one_of(
+    st.sampled_from(GOOD_LINES),
+    st.tuples(st.sampled_from(CONFIG_KEYS + ["no_such_key", ""]),
+              st.one_of(st.sampled_from(JUNK_VALUES),
+                        st.integers(-10 ** 6, 10 ** 6).map(str),
+                        st.floats().map(repr),
+                        st.text(LINE_TEXT, max_size=6)))
+    .map("=".join))
+# up to six key=value lines with distinct keys (repeats have their own
+# examples), then at most one line of free text
+CONFIG_LINES = st.tuples(st.lists(KEY_VALUE_LINE, max_size=6,
+                                  unique_by=lambda line: line.split("=")[0]),
+                         st.lists(st.text(LINE_TEXT, max_size=12),
+                                  max_size=1)).map(lambda p: p[0] + p[1])
+
+
+def assert_valid_config(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float:
+            assert type(value) is float and math.isfinite(value), f.name
+        elif f.type in (int, str, bool):
+            assert type(value) is f.type, f.name
+        else:
+            assert type(value) is tuple, f.name
+            assert all(type(v) is int for v in value), f.name
+    assert cfg.task in ("mixture2d", "ingest")
+    assert cfg.optimizer in ("adamw", "sgd")
+    assert cfg.scorer in ("msp", "energy", "vim")
+    assert min(cfg.batch_size, cfg.n_train_per_class, cfg.classes, cfg.dim,
+               cfg.n_per_class) >= 2
+    assert min(cfg.epochs, cfg.d_hat, cfg.heads, cfg.m_h, cfg.m_v, cfg.ff,
+               cfg.n_test_per_class, cfg.n_ood) >= 1
+    assert min(cfg.depth, cfg.warmup_batches, cfg.num, cfg.pca_axes,
+               cfg.lda_axes) >= 0
+    assert min(cfg.lr, cfg.temperature, cfg.separation, cfg.a) > 0
+    assert 0 <= cfg.val_fraction < 1 and 0 <= cfg.gamma <= 1
+    assert 0 < cfg.gamma_opt <= 1 and cfg.lambda_filter >= 0
+
+
+class TestConfigFuzz:
+    @given(CONFIG_LINES)
+    @example(["epochs=3", "lr=5e-3", "sweep_seeds=1,2"])
+    @example(["epochs=3", "epochs=3"])
+    @example(["task=foo"])
+    @settings(max_examples=300, deadline=None)
+    def test_loads_valid_config_or_raises_format_error(self, tmp_path_factory,
+                                                       lines):
+        path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cfg = ExperimentConfig.from_file(path)
+        except FormatError:
+            return
+        assert_valid_config(cfg)
 
 
 class TestFeatureFile:
@@ -150,6 +255,12 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match=r"bad\.csv:3: non-finite value"):
             read_feature_file(path)
 
+    def test_no_rows_rejected_at_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("dim=2,classes=2,rows=0\n")
+        with pytest.raises(FormatError, match=r"empty\.csv:1: no rows$"):
+            read_feature_file(path)
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("dim=2,classes=2,rows=1\n0.0,0.0,9\n")
@@ -177,7 +288,7 @@ class TestGenData:
         assert np.all(ood.labels == 3)
 
     def test_ingest_task_generates_separable_sets(self, tmp_path):
-        cfg = ExperimentConfig({"task": "ingest", "classes": 3, "dim": 8,
+        cfg = ExperimentConfig.parse({"task": "ingest", "classes": 3, "dim": 8,
                                 "n_per_class": 30, "separation": 12.0})
         harness.cmd_gen_data(cfg, 1, str(tmp_path))
         train, k = read_feature_file(tmp_path / "train.csv")
@@ -187,10 +298,9 @@ class TestGenData:
         assert np.all(ood.labels == 4)
 
     def test_unknown_task(self, tmp_path):
-        cfg = ExperimentConfig()
-        cfg.values["task"] = "bogus"
-        with pytest.raises(FormatError):
-            harness.cmd_gen_data(cfg, 1, str(tmp_path))
+        with pytest.raises(FormatError, match="^task"):
+            harness.cmd_gen_data(ExperimentConfig.parse({"task": "bogus"}), 1,
+                                 str(tmp_path))
 
 
 class TestTrainEval:
@@ -199,10 +309,20 @@ class TestTrainEval:
         losses = []
         for seed in (79, 169):
             train, _, _, _ = gen_mixture_2d(seed, 100, 50, 80)
-            _, _, log = harness.train_model(cfg, seed, train, 2, d_hat0=2)
+            _, _, log = harness.train_model(cfg, seed, train, 2)
             losses.append([e["loss_l1"] for e in log])
         mean = np.mean(losses, axis=0)
         assert mean[-1] < mean[0]
+
+    def test_too_few_fit_rows_names_val_fraction(self):
+        # 20 rows: 0.9 leaves 2 rows for the fit split, 0.99 leaves none
+        train, _, _, _ = gen_mixture_2d(79, 10, 5, 5)
+        harness.train_model(small_config(val_fraction="0.9", epochs=1), 79,
+                            train, 2)
+        with pytest.raises(FormatError, match=r"^val_fraction=0\.99 leaves "
+                                              r"0 of 20 rows"):
+            harness.train_model(small_config(val_fraction="0.99", epochs=1),
+                                79, train, 2)
 
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = small_config(grod_enabled="false", gamma=0.0)
@@ -270,7 +390,7 @@ class TestTrainEval:
     def test_grod_training_produces_fake_outliers(self):
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=3)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        _, state, log = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        _, state, log = harness.train_model(cfg, 79, train, 2)
         assert state is not None and state.initialized
         assert sum(e["fake_ood_retained"] for e in log) > 0
 
@@ -286,7 +406,7 @@ class TestTrainEval:
         monkeypatch.setattr(harness, "grod_augment_batch", poisoned)
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=2)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        _, _, log = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        _, _, log = harness.train_model(cfg, 79, train, 2)
         # 180 fit rows in batches of 32: 6 per epoch, the first 5 warm up
         assert [e["grod_fallbacks"] for e in log] == [
             {"all_filtered": 0, "degenerate_scatter": 0, "not_pd": 1},
@@ -333,7 +453,7 @@ class TestTrainEval:
     def test_grod_state_round_trip(self, tmp_path):
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=3)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        _, state, _ = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        _, state, _ = harness.train_model(cfg, 79, train, 2)
         path = tmp_path / "state.npz"
         save_grod_state(state, path)
         loaded = load_grod_state(path)
@@ -350,7 +470,7 @@ class TestTrainEval:
         harness.cmd_train(cfg, 79, str(tmp_path))
         loaded = load_grod_state(tmp_path / "grod_state.npz")
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        _, state, _ = harness.train_model(cfg, 79, train, 2, d_hat0=2)
+        _, state, _ = harness.train_model(cfg, 79, train, 2)
         # 180 fit rows in batches of 32 give 6 batches in each of 2 epochs
         assert not loaded.initialized and loaded.batch_index == 12
         np.testing.assert_array_equal(np.vstack(loaded.pool_f),
@@ -362,7 +482,7 @@ class TestTrainEval:
 
 class TestSweep:
     def test_row_count_and_fields(self, tmp_path):
-        cfg = ExperimentConfig({"n_train_per_class": 60,
+        cfg = ExperimentConfig.parse({"n_train_per_class": 60,
                                 "n_test_per_class": 30, "n_ood": 40,
                                 "epochs": 1, "batch_size": 32, "lr": 0.01,
                                 "grod_enabled": "false", "gamma": 0.0,
@@ -378,6 +498,15 @@ class TestSweep:
             assert {"class1", "class2", "ood"} == set(r["mean_msp"])
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert len(payload["rows"]) == len(rows)
+
+    def test_bad_depth_fails_before_training(self, tmp_path, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "train_model",
+                            lambda *args, **kw: trained.append(args))
+        cfg = small_config(sweep_depths="1,-1", sweep_seeds="1")
+        with pytest.raises(FormatError, match="^depth must be >= 0"):
+            harness.cmd_sweep_capacity(cfg, 0, str(tmp_path))
+        assert trained == [] and not (tmp_path / "sweep.json").exists()
 
 
 class TestCli:
@@ -460,7 +589,7 @@ class TestCli:
         rc = cli.main(["gen-data", "--config", str(cfg_path), "--out", out])
         assert rc == 0
         a = (tmp_path / "out" / "train.csv").read_bytes()
-        harness.cmd_gen_data(ExperimentConfig({"n_train_per_class": 20,
+        harness.cmd_gen_data(ExperimentConfig.parse({"n_train_per_class": 20,
                                                "n_test_per_class": 10,
                                                "n_ood": 10}),
                              11, str(tmp_path / "direct"))
@@ -469,7 +598,7 @@ class TestCli:
 
 class TestIngestCommand:
     def test_smoke_and_report(self, tmp_path):
-        cfg = ExperimentConfig({"task": "ingest", "classes": 3, "dim": 8,
+        cfg = ExperimentConfig.parse({"task": "ingest", "classes": 3, "dim": 8,
                                 "n_per_class": 40, "separation": 12.0,
                                 "epochs": 3, "batch_size": 32, "lr": 0.005,
                                 "scorer": "msp"})
@@ -479,3 +608,20 @@ class TestIngestCommand:
         assert 0.0 <= summary.auroc <= 1.0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["metrics"]["auroc"] == summary.auroc
+
+    def test_input_map_stays_identity(self, tmp_path):
+        # the frozen input map gets neither gradient steps nor weight decay
+        cfg = ExperimentConfig.parse({"task": "ingest", "classes": 4,
+                                      "dim": 16, "n_per_class": 60,
+                                      "epochs": 3, "lr": 0.01,
+                                      "weight_decay": 0.5, "scorer": "msp"})
+        for optimizer in ("adamw", "sgd"):
+            out = tmp_path / optimizer
+            harness.cmd_gen_data(cfg, 3, str(out))
+            harness.cmd_ingest(dataclasses.replace(cfg, optimizer=optimizer),
+                               3, str(out))
+            model = tfm.load_model(out / "checkpoint.npz")
+            assert model.depth == 0 and model.budget.d_hat == 16
+            np.testing.assert_array_equal(model.params["input.W"], np.eye(16))
+            np.testing.assert_array_equal(model.params["input.b"],
+                                          np.zeros(16))

@@ -246,6 +246,22 @@ class TestOptimizers:
         for k in runs[0]:
             np.testing.assert_array_equal(runs[0][k], runs[1][k])
 
+    def test_steps_leave_params_without_grads_untouched(self):
+        # weight decay must not move a parameter that has no gradient
+        for step in ("sgd", "adamw"):
+            model = small_model(20)
+            before = {k: v.copy() for k, v in model.params.items()}
+            grads = {k: np.full_like(v, 0.01) for k, v in
+                     model.params.items() if not k.startswith("input.")}
+            if step == "sgd":
+                tfm.sgd_step(model, grads, lr=0.1, weight_decay=0.5)
+            else:
+                tfm.adamw_step(model, grads, tfm.adamw_init(model), lr=0.1,
+                               weight_decay=0.5)
+            for k in before:
+                moved = not np.array_equal(model.params[k], before[k])
+                assert moved == (k in grads), (step, k)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
