@@ -27,6 +27,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise harness.FormatError("--seed must be >= 0")
         config = (harness.ExperimentConfig.from_file(args.config)
                   if args.config else harness.ExperimentConfig())
         seed = args.seed if args.seed is not None else config.seed

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -120,6 +121,8 @@ class ExperimentConfig:
                 raise FormatError(f"{key} must be > 0")
         if not 0 <= self.val_fraction < 1:
             raise FormatError("val_fraction must be in [0, 1)")
+        if any(s < 0 for s in self.sweep_seeds):
+            raise FormatError("sweep_seeds must be >= 0")
         try:    # from the outlier-engine fields that the config has
             grod = GrodConfig(**{f.name: getattr(self, f.name)
                                  for f in dataclasses.fields(GrodConfig)
@@ -220,6 +223,9 @@ def read_feature_file(path):
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+    if dim < 1 or k < 2:
+        raise FormatError(f"{path}:1: need dim >= 1 and classes >= 2, got "
+                          f"dim={dim}, classes={k}")
     if rows < 1:
         raise FormatError(f"{path}:1: no rows")
     if len(lines) - 1 != rows:
@@ -494,10 +500,29 @@ def cmd_train(config, seed, out_dir):
     return os.path.join(out_dir, "checkpoint.npz")
 
 
+def _load_checkpoint(path, width, k):
+    """The model saved at path, checked against the feature files' width
+    and class count before any forward pass."""
+    try:
+        model = tfm.load_model(path)
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not an oodkit checkpoint") from exc
+    for name, want, got in (("d_hat0", width, model.d_hat0),
+                            ("n_classes", k + 1, model.n_classes)):
+        if got != want:
+            raise FormatError(f"{path}: {name} expected {want} from the "
+                              f"feature files, found {got}")
+    return model
+
+
 def cmd_eval(config, seed, out_dir, checkpoint=None):
     train, test, ood, k = _load_dataset(out_dir)
-    model = tfm.load_model(checkpoint
-                           or os.path.join(out_dir, "checkpoint.npz"))
+    model = _load_checkpoint(checkpoint
+                             or os.path.join(out_dir, "checkpoint.npz"),
+                             train.features.shape[1], k)
     summary, report = evaluate_model(
         model, train, test, ood, k, scorer=config.scorer,
         temperature=config.temperature)

@@ -1,7 +1,6 @@
 """Dense linear-algebra primitives shared by the rest of the pipeline."""
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class NotPositiveDefinite(Exception):
@@ -34,20 +33,19 @@ def regularized_cholesky(sigma, eps0=1e-4):
 
 
 def regularized_inverse(sigma, eps0=1e-4):
-    """(sigma + eps0*I)^-1 as (L^-1)^T L^-1 from regularized_cholesky."""
-    lower = regularized_cholesky(sigma, eps0)
-    linv = solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
+    """(sigma + eps0*I)^-1 as (L^-1)^T L^-1, with L^-1 the inverse of the
+    regularized_cholesky factor."""
+    linv = np.linalg.inv(regularized_cholesky(sigma, eps0))
     inv = linv.T @ linv
     return 0.5 * (inv + inv.T)
 
 
-def mahalanobis_sq_rows(x, mu, lower):
-    """Squared Mahalanobis distance of every row of x to mu, given the lower
-    Cholesky factor L of the covariance: column sums of squares of
-    L^-1 (x - mu)^T, one triangular solve for the whole batch."""
-    z = solve_triangular(lower, (np.asarray(x, dtype=float) - mu).T,
-                         lower=True)
-    return np.einsum("ij,ij->j", z, z)
+def mahalanobis_sq_rows(x, mu, linv):
+    """Squared Mahalanobis distance of every row of x to mu, given the
+    inverse L^-1 of the covariance's lower Cholesky factor: row sums of
+    squares of (x - mu) L^-T, one matmul for the whole batch."""
+    z = (np.asarray(x, dtype=float) - mu) @ linv.T
+    return np.einsum("ij,ij->i", z, z)
 
 
 def mahalanobis_sq(x, mu, sigma_inv):

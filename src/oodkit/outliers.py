@@ -140,14 +140,15 @@ def _ema(old, new, rate):
 
 
 def factor_snapshot(state, eps0=1e-4):
-    """One regularized Cholesky factor per tracked center, as
-    {None: (mu_pca, L_pca), c: (mu_c, L_c), ...} with classes sorted.  The
-    distance functions below build it from state when not passed one."""
+    """One inverted regularized Cholesky factor per tracked center, as
+    {None: (mu_pca, L_pca^-1), c: (mu_c, L_c^-1), ...} with classes sorted,
+    so every distance to a center is one matmul.  The distance functions
+    below build it from state when not passed one."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
     centers = [(None, state.mu_pca, state.cov_pca)] + [
         (c, state.mu_lda[c], state.cov_lda[c]) for c in sorted(state.mu_lda)]
-    return {key: (mu, regularized_cholesky(cov, eps0))
+    return {key: (mu, np.linalg.inv(regularized_cholesky(cov, eps0)))
             for key, mu, cov in centers}
 
 

@@ -3,9 +3,9 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .numerics import TooFewSamples, sample_covariance
+from .numerics import (NotPositiveDefinite, TooFewSamples,
+                       regularized_cholesky, sample_covariance)
 
 
 class DegenerateScatter(Exception):
@@ -49,17 +49,17 @@ def pca_fit(f, p):
         raise TooFewSamples(f"pca_fit needs n >= 2, got {n}")
     if not 1 <= p <= min(n - 1, s):
         raise ValueError(f"p={p} out of range for n={n}, s={s}")
-    _, vecs = eigh(sample_covariance(f), subset_by_index=[s - p, s - 1])
-    axes = _fix_signs(vecs[:, ::-1].T)   # top p, ascending -> descending
+    _, vecs = np.linalg.eigh(sample_covariance(f))
+    axes = _fix_signs(vecs[:, :-p - 1:-1].T)   # top p, descending
     return ProjectionBasis(kind="PCA", axes=axes, mean=f.mean(axis=0))
 
 
 def lda_fit(f, y, p, eps0=1e-4):
     """Fisher discriminant axes; one basis per class for restricted mining.
 
-    Within-class scatter is regularized with eps0*I before the generalized
-    eigenproblem.  All returned bases share the same axes; class_id records
-    which class's rows each basis restricts to.
+    With the regularized within-class scatter Sw + eps0*I = L L^T, the
+    problem Sb v = lambda Sw v is eigh(L^-1 Sb L^-T) u = lambda u, v = L^-T u.
+    All bases share the axes; class_id names the class each restricts to.
     """
     f = np.asarray(f, dtype=float)
     y = np.asarray(y)
@@ -80,11 +80,12 @@ def lda_fit(f, y, p, eps0=1e-4):
         sw += centered.T @ centered
         diff = (mu_c - mean)[:, None]
         sb += rows.shape[0] * (diff @ diff.T)
-    sw_reg = 0.5 * (sw + sw.T) + eps0 * np.eye(s)
     try:
-        vals, vecs = eigh(0.5 * (sb + sb.T), sw_reg)
-    except np.linalg.LinAlgError as exc:
+        linv = np.linalg.inv(regularized_cholesky(sw, eps0))
+        vals, u = np.linalg.eigh(linv @ sb @ linv.T)
+    except (NotPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise DegenerateScatter(str(exc)) from exc
+    vecs = linv.T @ u
     order = np.argsort(vals)[::-1][:p]
     axes = _fix_signs(vecs[:, order].T)
     return [ProjectionBasis(kind="LDA", axes=axes, mean=mean, class_id=int(c))

@@ -79,7 +79,7 @@ class TestExperimentConfig:
         ("classes", "1"), ("dim", "1"), ("n_per_class", "0"),
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
-        ("separation", "-12"), ("seed", "-1")])
+        ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
             ExperimentConfig.parse({key: value})
@@ -239,10 +239,14 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="promises 5"):
             read_feature_file(path)
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "hello\n", "dim=0,classes=2,rows=1\n1\n",
+        "dim=2,classes=0,rows=1\n0.0,0.0,1\n"],
+        ids=["garbled", "dim0", "classes0"])
+    def test_bad_header(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text("hello\n")
-        with pytest.raises(FormatError, match=":1"):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"bad\.csv:1: "):
             read_feature_file(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -572,14 +576,25 @@ class TestCli:
         assert not (tmp_path / "checkpoint.npz").exists()
 
     def test_cli_import_does_not_load_scipy_stats(self):
-        # scipy.stats costs about 0.8 s of import time in every process
+        # numpy is the only runtime dependency: no scipy module, whose
+        # import costs time and memory in every process
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         out = subprocess.run(
             [sys.executable, "-c", "import oodkit.cli, sys; "
-             "print('scipy.stats' in sys.modules)"],
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        rc = cli.main(["gen-data", "--seed", "-1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: FormatError: --seed")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_from_config_when_flag_absent(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -594,6 +609,49 @@ class TestCli:
                                                "n_ood": 10}),
                              11, str(tmp_path / "direct"))
         assert a == (tmp_path / "direct" / "train.csv").read_bytes()
+
+
+class TestEvalCheckpoint:
+    """`eval --checkpoint` fails with one error line, before any forward
+    pass and without writing a report."""
+
+    def eval_error(self, tmp_path, capsys, checkpoint):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n_train_per_class=20\nn_test_per_class=10\n"
+                            "n_ood=10\nscorer=msp\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--seed", "3", "--out", out]) == 0
+        rc = cli.main(["eval", "--config", str(cfg_path), "--seed", "3",
+                       "--out", out, "--checkpoint", str(checkpoint)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+        return err[0]
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.npz"
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err.startswith(f"error: IoError: cannot read checkpoint {path}")
+
+    def test_junk_file(self, tmp_path, capsys):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"not a checkpoint\n")
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
+
+    @pytest.mark.parametrize("d_hat0,k,name,want,got", [
+        (8, 4, "d_hat0", 2, 8), (2, 4, "n_classes", 3, 5)])
+    def test_shape_mismatch(self, tmp_path, capsys, d_hat0, k, name, want,
+                            got):
+        # e.g. a head-only s=8 ingest checkpoint on the 2-d mixture
+        path = tmp_path / "other.npz"
+        budget = tfm.Budget(d_hat=d_hat0, h=1, m_h=1, m_V=1, r=1)
+        tfm.save_model(tfm.init_model(d_hat0, 1, 0, budget, k, 0), path)
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == (f"error: FormatError: {path}: {name} expected {want} "
+                       f"from the feature files, found {got}")
 
 
 class TestIngestCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from oodkit.numerics import TooFewSamples, sample_covariance
 from oodkit.projections import (DegenerateScatter, EmptyInput, _fix_signs,
@@ -129,6 +130,46 @@ class TestLdaFit:
         f = np.zeros((3, 2))
         with pytest.raises(DegenerateScatter):
             lda_fit(f, np.array([1, 2, 3]), 1)
+
+
+def scipy_lda_axes(f, y, p, eps0=1e-4):
+    """Oracle: the generalized symmetric eigensolver on the same scatter
+    matrices as lda_fit, top p axes under the same sign convention."""
+    mean = f.mean(axis=0)
+    sw = np.zeros((f.shape[1], f.shape[1]))
+    sb = np.zeros_like(sw)
+    for c in np.unique(y):
+        rows = f[y == c]
+        centered = rows - rows.mean(axis=0)
+        sw += centered.T @ centered
+        diff = (rows.mean(axis=0) - mean)[:, None]
+        sb += rows.shape[0] * (diff @ diff.T)
+    vals, vecs = eigh(0.5 * (sb + sb.T),
+                      0.5 * (sw + sw.T) + eps0 * np.eye(f.shape[1]))
+    return _fix_signs(vecs[:, np.argsort(vals)[::-1][:p]].T)
+
+
+@pytest.mark.parametrize("constant_column", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("s", [2, 8, 64])
+def test_numpy_solvers_match_scipy(s, k, constant_column):
+    # 16 rows per class, so at s=64 the within-class scatter is singular
+    # up to the eps0 shift, as in a training batch
+    rng = np.random.default_rng(100 * s + 10 * k + constant_column)
+    y = np.repeat(np.arange(1, k + 1), 16)
+    f = (rng.standard_normal((y.size, s)) * rng.uniform(0.5, 3.0, s)
+         + 2.0 * rng.standard_normal((k, s))[y - 1])
+    if constant_column:
+        f[:, 0] = 1.5
+    p = min(s, 8)
+    _, vecs = eigh(sample_covariance(f), subset_by_index=[s - p, s - 1])
+    np.testing.assert_allclose(pca_fit(f, p).axes,
+                               _fix_signs(vecs[:, ::-1].T), rtol=0,
+                               atol=1e-10)
+    want = scipy_lda_axes(f, y, min(k - 1, 4))
+    for basis in lda_fit(f, y, min(k - 1, 4)):
+        np.testing.assert_allclose(basis.axes, want, rtol=0,
+                                   atol=1e-8 * np.max(np.abs(want)))
 
 
 class TestMineBoundary:
