@@ -469,22 +469,40 @@ def cmd_gen_data(config, seed, out_dir):
 
 
 def _load_dataset(out_dir):
-    train, k = read_feature_file(os.path.join(out_dir, "train.csv"))
-    test, _ = read_feature_file(os.path.join(out_dir, "test.csv"))
-    ood, _ = read_feature_file(os.path.join(out_dir, "ood.csv"))
-    return train, test, ood, k
+    """(train, test, ood, K): test.csv and ood.csv must have train.csv's
+    dim and classes, and train.csv ID labels only."""
+    paths = [os.path.join(out_dir, f"{n}.csv") for n in ("train", "test",
+                                                          "ood")]
+    (train, k), *rest = [read_feature_file(path) for path in paths]
+    if np.any(train.labels > k):
+        raise FormatError(f"{paths[0]}:{np.argmax(train.labels > k) + 2}: "
+                          f"OOD label {k + 1} in the training set")
+    want = f"dim={train.features.shape[1]},classes={k}"
+    for path, (batch, k_file) in zip(paths[1:], rest):
+        got = f"dim={batch.features.shape[1]},classes={k_file}"
+        if got != want:
+            raise FormatError(f"{path}:1: expected {want} as in train.csv, "
+                              f"found {got}")
+    return train, rest[0][0], rest[1][0], k
+
+
+def _check_vim_rows(config, out_dir, train, width):
+    """ViM calibrates on train.csv, which needs d'+1 rows at this width."""
+    need, n = post.default_d_prime(width) + 1, len(train.labels)
+    if config.scorer == "vim" and n < need:
+        raise FormatError(f"{os.path.join(out_dir, 'train.csv')}: scorer=vim "
+                          f"needs {need} rows at width {width}, found {n}")
 
 
 def cmd_train(config, seed, out_dir):
     train, _, _, k = _load_dataset(out_dir)
-    if config.task == "ingest":    # head-only: identity input, no blocks
-        head_only = dataclasses.replace(
-            config, depth=0, d_hat=train.features.shape[1], heads=1, m_h=1,
-            m_v=1, ff=1)
-        model, state, log = train_model(head_only, seed, train, k,
-                                        identity_input=True)
-    else:
-        model, state, log = train_model(config, seed, train, k)
+    ingest = config.task == "ingest"
+    run_config = dataclasses.replace(    # head-only: identity input, no blocks
+        config, depth=0, d_hat=train.features.shape[1], heads=1, m_h=1,
+        m_v=1, ff=1) if ingest else config
+    _check_vim_rows(config, out_dir, train, run_config.d_hat)
+    model, state, log = train_model(run_config, seed, train, k,
+                                    identity_input=ingest)
     if state is not None and not state.initialized:
         print(f"warning: outlier generation never initialized "
               f"(warmup_batches={config.warmup_batches}, "
@@ -523,6 +541,7 @@ def cmd_eval(config, seed, out_dir, checkpoint=None):
     model = _load_checkpoint(checkpoint
                              or os.path.join(out_dir, "checkpoint.npz"),
                              train.features.shape[1], k)
+    _check_vim_rows(config, out_dir, train, model.budget.d_hat * model.tau)
     summary, report = evaluate_model(
         model, train, test, ood, k, scorer=config.scorer,
         temperature=config.temperature)

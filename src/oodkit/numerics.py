@@ -17,15 +17,17 @@ class TooFewSamples(Exception):
 
 def regularized_cholesky(sigma, eps0=1e-4):
     """Lower Cholesky factor L of sigma + eps0*I = L L^T for a symmetric
-    sigma.  Raises NotPositiveDefinite if the factorization fails."""
+    sigma or each matrix of a (..., d, d) stack, each checked for symmetry
+    at its own scale.  Raises NotPositiveDefinite if one fails."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got {sigma.shape}")
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
+    sigma_t = np.swapaxes(sigma, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(sigma), axis=(-2, -1)))
+    if np.any(np.max(np.abs(sigma - sigma_t), axis=(-2, -1)) > 1e-10 * scale):
         raise DimensionMismatch("matrix is not symmetric")
     # symmetrize to kill float asymmetry before factorizing
-    sym = 0.5 * (sigma + sigma.T) + eps0 * np.eye(sigma.shape[0])
+    sym = 0.5 * (sigma + sigma_t) + eps0 * np.eye(sigma.shape[-1])
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
@@ -43,9 +45,11 @@ def regularized_inverse(sigma, eps0=1e-4):
 def mahalanobis_sq_rows(x, mu, linv):
     """Squared Mahalanobis distance of every row of x to mu, given the
     inverse L^-1 of the covariance's lower Cholesky factor: row sums of
-    squares of (x - mu) L^-T, one matmul for the whole batch."""
-    z = (np.asarray(x, dtype=float) - mu) @ linv.T
-    return np.einsum("ij,ij->i", z, z)
+    squares of (x - mu) L^-T, one matmul for the whole batch.  With stacks
+    mu (c, d) and linv (c, d, d) the result is (c, rows), one per center."""
+    z = ((np.asarray(x, dtype=float) - mu[..., None, :])
+         @ np.swapaxes(linv, -1, -2))
+    return np.einsum("...ij,...ij->...i", z, z)
 
 
 def mahalanobis_sq(x, mu, sigma_inv):

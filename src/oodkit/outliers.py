@@ -1,12 +1,13 @@
 """Synthetic-outlier engine used during fine-tuning.
 
 Per batch it: picks a class subset sized to the batch budget, EMA-updates
-global/per-class centers, covariances and reference Mahalanobis distances,
-factoring each covariance once for all of the batch's distances, mines
-projection-boundary samples, pushes them outward to get outlier centers,
-samples Gaussian candidates around those centers, deletes the ID-like ones
-by a Mahalanobis margin, caps the survivors, and attaches distance-ratio
-soft labels over K+1 classes.
+the centers, covariances and reference Mahalanobis distances (stacks over
+K+1 centers: row 0 global, row c class c), factoring the whole covariance
+stack once for all of the batch's distances, mines projection-boundary
+samples, pushes them outward to get outlier centers, samples Gaussian
+candidates around those centers, deletes the ID-like ones by a Mahalanobis
+margin, caps the survivors, and attaches distance-ratio soft labels over
+K+1 classes.
 """
 
 import json
@@ -30,6 +31,7 @@ class AllFiltered(Exception):
 
 
 FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
+STATISTICS = ("mu", "cov", "dist", "tracked")
 
 
 @dataclass
@@ -55,40 +57,37 @@ class GrodConfig:
 
 @dataclass
 class GrodState:
+    """Statistics stacked over the K+1 centers, None until warmup ends:
+    `mu` (K+1, d), `cov` (K+1, d, d), reference distances `dist` (K+1,)
+    and the `tracked` mask.  Row 0 is the global center, row c class c; an
+    untracked row holds no statistics.  Warmup fills `pool_f`/`pool_y`."""
     n_id_classes: int
     dim: int
-    mu_pca: np.ndarray | None = None
-    cov_pca: np.ndarray | None = None
-    dist_id_pca: float | None = None
-    mu_lda: dict = field(default_factory=dict)      # class -> center
-    cov_lda: dict = field(default_factory=dict)
-    dist_id_lda: dict = field(default_factory=dict)
+    mu: np.ndarray | None = None
+    cov: np.ndarray | None = None
+    dist: np.ndarray | None = None
+    tracked: np.ndarray | None = None
     batch_index: int = 0
-    initialized: bool = False
     pool_f: list = field(default_factory=list)
     pool_y: list = field(default_factory=list)
 
+    @property
+    def initialized(self):
+        return self.mu is not None
+
 
 def save_grod_state(state, path):
-    """npz archive: a JSON `meta` record, the tracked statistics once
-    initialized (`mu_pca`, `cov_pca`, `dist_id_pca`, `mu_lda_<c>`,
-    `cov_lda_<c>`, `dist_lda_<c>`) and the stacked warmup pool (`pool_f`,
-    `pool_y`) while it is non-empty.  A None state saves an empty archive."""
+    """npz archive: a JSON `meta` record, the STATISTICS stacks once
+    initialized and the stacked warmup pool (`pool_f`, `pool_y`) while it
+    is non-empty.  A None state saves an empty archive."""
     arrays = {}
     if state is not None:
-        classes = sorted(state.mu_lda)
         arrays["meta"] = np.frombuffer(json.dumps(
             {"n_id_classes": state.n_id_classes, "dim": state.dim,
-             "batch_index": state.batch_index,
-             "initialized": state.initialized, "classes": classes},
+             "batch_index": state.batch_index},
             sort_keys=True).encode(), dtype=np.uint8)
         if state.initialized:
-            arrays.update(mu_pca=state.mu_pca, cov_pca=state.cov_pca,
-                          dist_id_pca=np.array(state.dist_id_pca))
-            for c in classes:
-                arrays[f"mu_lda_{c}"] = state.mu_lda[c]
-                arrays[f"cov_lda_{c}"] = state.cov_lda[c]
-                arrays[f"dist_lda_{c}"] = np.array(state.dist_id_lda[c])
+            arrays.update({key: getattr(state, key) for key in STATISTICS})
         if state.pool_f:
             arrays["pool_f"] = np.vstack(state.pool_f)
             arrays["pool_y"] = np.concatenate(state.pool_y)
@@ -102,19 +101,12 @@ def load_grod_state(path):
             return None
         meta = json.loads(bytes(data["meta"]).decode())
         state = GrodState(n_id_classes=meta["n_id_classes"], dim=meta["dim"],
-                          batch_index=meta["batch_index"],
-                          initialized=meta["initialized"])
-        if state.initialized:
-            state.mu_pca = data["mu_pca"]
-            state.cov_pca = data["cov_pca"]
-            state.dist_id_pca = float(data["dist_id_pca"])
-            for c in meta["classes"]:
-                state.mu_lda[c] = data[f"mu_lda_{c}"]
-                state.cov_lda[c] = data[f"cov_lda_{c}"]
-                state.dist_id_lda[c] = float(data[f"dist_lda_{c}"])
+                          batch_index=meta["batch_index"])
+        if "mu" in data.files:
+            for key in STATISTICS:
+                setattr(state, key, data[key])
         if "pool_f" in data.files:
-            state.pool_f = [data["pool_f"]]
-            state.pool_y = [data["pool_y"]]
+            state.pool_f, state.pool_y = [data["pool_f"]], [data["pool_y"]]
     return state
 
 
@@ -140,137 +132,124 @@ def _ema(old, new, rate):
 
 
 def factor_snapshot(state, eps0=1e-4):
-    """One inverted regularized Cholesky factor per tracked center, as
-    {None: (mu_pca, L_pca^-1), c: (mu_c, L_c^-1), ...} with classes sorted,
-    so every distance to a center is one matmul.  The distance functions
-    below build it from state when not passed one."""
+    """(mu, L^-1): a copy of the (K+1, d) centers and the inverted
+    regularized Cholesky factors of the (K+1, d, d) covariances, from one
+    stacked factorization, so every distance to a center is one matmul.
+    The distance functions below build it from state when not passed one."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    centers = [(None, state.mu_pca, state.cov_pca)] + [
-        (c, state.mu_lda[c], state.cov_lda[c]) for c in sorted(state.mu_lda)]
-    return {key: (mu, np.linalg.inv(regularized_cholesky(cov, eps0)))
-            for key, mu, cov in centers}
+    return (state.mu.copy(),
+            np.linalg.inv(regularized_cholesky(state.cov, eps0)))
 
 
 def class_distances(points, snapshot):
-    """(points x tracked classes) squared distances, classes sorted."""
-    return np.column_stack([mahalanobis_sq_rows(points, *snapshot[c])
-                            for c in snapshot if c is not None])
+    """(points x K+1) squared distances to every center, untracked ones
+    included."""
+    return mahalanobis_sq_rows(points, *snapshot).T
 
 
 def id_reference_distances(f, y, state, eps0=1e-4, snapshot=None):
-    """Batch-mean squared Mahalanobis distances to the tracked centers."""
-    if snapshot is None:
-        snapshot = factor_snapshot(state, eps0)
-    dist_pca = float(np.mean(mahalanobis_sq_rows(f, *snapshot[None])))
-    dist_lda = {c: float(np.mean(mahalanobis_sq_rows(f[y == c], *snapshot[c])))
-                for c in sorted(state.mu_lda) if np.any(y == c)}
-    return dist_pca, dist_lda
+    """(K+1,) batch-mean squared Mahalanobis distances: row 0 over all of
+    f, row c over the rows of class c; NaN for a class that is untracked
+    or absent from the batch."""
+    mu, linv = snapshot or factor_snapshot(state, eps0)
+    out = np.full(len(mu), np.nan)
+    for c in np.flatnonzero(state.tracked):
+        rows = f if c == 0 else f[y == c]
+        if len(rows):   # on its own rows: a 1-row product rounds apart
+            out[c] = np.mean(mahalanobis_sq_rows(rows, mu[c], linv[c]))
+    return out
 
 
 def update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
-    """EMA update of centers, covariances and reference distances; returns
-    the factor snapshot of the updated covariances.  On NotPositiveDefinite
-    the centers and covariances are updated, the distances are not."""
+    """Update of the global center and the subset's classes: a center not
+    yet tracked takes the batch's mean and covariance, a tracked one their
+    EMA; the reference distances likewise.  Returns the factor snapshot of
+    the updated covariances.  On NotPositiveDefinite the centers and
+    covariances are updated, the distances are not."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    state.mu_pca = _ema(state.mu_pca, f.mean(axis=0), gamma_opt)
-    state.cov_pca = _ema(state.cov_pca, _class_cov(f, eps0, state.dim),
-                         gamma_opt)
-    for c in subset:
-        rows = f[y == c]
+    was_tracked = state.tracked.copy()
+    for i, rows in [(0, f)] + [(c, f[y == c]) for c in subset]:
         if rows.shape[0] == 0:
             continue
-        mu_new, cov_new = rows.mean(axis=0), _class_cov(rows, eps0, state.dim)
-        if c in state.mu_lda:
-            mu_new = _ema(state.mu_lda[c], mu_new, gamma_opt)
-            cov_new = _ema(state.cov_lda[c], cov_new, gamma_opt)
-        state.mu_lda[c], state.cov_lda[c] = mu_new, cov_new
+        mu, cov = rows.mean(axis=0), _class_cov(rows, eps0, state.dim)
+        if state.tracked[i]:
+            mu = _ema(state.mu[i], mu, gamma_opt)
+            cov = _ema(state.cov[i], cov, gamma_opt)
+        state.mu[i], state.cov[i], state.tracked[i] = mu, cov, True
     snapshot = factor_snapshot(state, eps0)
-    dist_pca, dist_lda = id_reference_distances(f, y, state, eps0, snapshot)
-    state.dist_id_pca = _ema(state.dist_id_pca, dist_pca, gamma_opt)
-    for c, d in dist_lda.items():
-        state.dist_id_lda[c] = (_ema(state.dist_id_lda[c], d, gamma_opt)
-                                if c in state.dist_id_lda else d)
+    new = id_reference_distances(f, y, state, eps0, snapshot)
+    new = np.where(was_tracked, _ema(state.dist, new, gamma_opt), new)
+    state.dist = np.where(np.isnan(new), state.dist, new)
     return snapshot
 
 
 def initialize_state(state, f, y, eps0=1e-4):
-    """Seed centers/covariances/distances from a pooled warmup feature set."""
-    f = np.asarray(f, dtype=float)
+    """Seed the statistics from a pooled warmup feature set: empty stacks,
+    then one update over the pool's classes."""
+    k1, d = state.n_id_classes + 1, state.dim
+    state.mu, state.cov = np.zeros((k1, d)), np.zeros((k1, d, d))
+    state.dist, state.tracked = np.zeros(k1), np.zeros(k1, dtype=bool)
     y = np.asarray(y)
-    state.mu_pca = f.mean(axis=0)
-    state.cov_pca = _class_cov(f, eps0, state.dim)
-    for c in sorted(np.unique(y)):
-        rows = f[y == c]
-        state.mu_lda[int(c)] = rows.mean(axis=0)
-        state.cov_lda[int(c)] = _class_cov(rows, eps0, state.dim)
-    state.initialized = True
-    dist_pca, dist_lda = id_reference_distances(f, y, state, eps0)
-    state.dist_id_pca = dist_pca
-    state.dist_id_lda = dist_lda
-    state.pool_f = []
-    state.pool_y = []
+    update_centers(state, np.asarray(f, dtype=float), y, np.unique(y), 1.0,
+                   eps0)
+    state.pool_f, state.pool_y = [], []
     return state
 
 
 def build_ood_centers(boundaries, state, a, eps=1e-7):
-    """Extend each boundary point outward from its cluster center by length a.
+    """Extend each boundary point outward from its center by length a.
 
-    boundaries: list of (BoundarySet, class_or_None).  Returns a list of
-    (center, class_or_None) pairs, one per boundary point.
+    boundaries: list of (BoundarySet, center row: 0 global, c class c).
+    Returns (centers (m, d), provenance (m,)), one row per boundary point.
     """
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    centers = []
-    for bset, cls in boundaries:
-        mu = state.mu_pca if cls is None else state.mu_lda[cls]
-        for v in bset.points:
-            direction = (v - mu) / (np.linalg.norm(v - mu) + eps)
-            centers.append((v + a * direction, cls))
-    return centers
+    points = np.vstack([bset.points for bset, _ in boundaries])
+    provenance = np.concatenate([np.full(len(bset.points), row)
+                                 for bset, row in boundaries])
+    diff = points - state.mu[provenance]
+    # one dot product per row: bitwise equal to np.linalg.norm of each
+    norm = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0]
+    return points + a * (diff / (norm + eps)), provenance
 
 
 def sample_fake_ood(ood_centers, a, num, rng):
-    """Per provenance group, draw num points ~ N(center, (a/3) I) round-robin
-    over that group's centers.  Returns (points, provenance list)."""
-    if not ood_centers:
+    """Per provenance group, in increasing row order, draw num points
+    ~ N(center, (a/3) I) round-robin over that group's centers, given
+    build_ood_centers' (centers, provenance).  Returns the same pair."""
+    centers, provenance = ood_centers
+    if len(centers) == 0:
         raise ValueError("no outlier centers")
-    groups = {}
-    for center, cls in ood_centers:
-        groups.setdefault(cls, []).append(center)
     std = math.sqrt(a / 3.0)
-    points, provenance = [], []
-    keys = sorted(groups, key=lambda c: (c is not None, c))
+    keys = np.unique(provenance)
+    points = []
     for key in keys:
-        members = groups[key]
-        for j in range(num):
-            center = members[j % len(members)]
-            points.append(center + std * rng.standard_normal(center.size))
-            provenance.append(key)
-    return np.array(points), provenance
+        members = centers[provenance == key]
+        points.append(members[np.arange(num) % len(members)]
+                      + std * rng.standard_normal((num, centers.shape[1])))
+    return np.vstack(points), np.repeat(keys, num)
 
 
 def filter_fake_ood(candidates, state, lambda_filter, batch_size,
                     n_id_classes, rng, subset, eps0=1e-4, snapshot=None):
     """Delete ID-like candidates by the Mahalanobis margin, then randomly
-    downsample the survivors to at most floor(B/K) + 2 points."""
+    downsample the survivors to at most floor(B/K) + 2 points.  Each
+    candidate is measured against the global center when subset is empty,
+    else against its nearest tracked class (the first one on ties)."""
     candidates = np.asarray(candidates, dtype=float)
-    if snapshot is None:
-        snapshot = factor_snapshot(state, eps0)
-    if len(subset) == 0:    # global center route
-        dist_ood = mahalanobis_sq_rows(candidates, *snapshot[None])
-        dist_ref = state.dist_id_pca
-    else:                   # nearest tracked class, first one on ties
-        dists = class_distances(candidates, snapshot)
-        nearest = np.argmin(dists, axis=1)
-        dist_ood = dists[np.arange(len(dists)), nearest]
-        refs = np.array([state.dist_id_lda[c] for c in sorted(state.mu_lda)])
-        dist_ref = refs[nearest]
+    dists = class_distances(candidates,
+                            snapshot or factor_snapshot(state, eps0))
+    nearest = np.zeros(len(dists), dtype=int)
+    if len(subset):
+        nearest += 1 + np.argmin(
+            np.where(state.tracked[1:], dists[:, 1:], np.inf), axis=1)
+    dist_ood = dists[np.arange(len(dists)), nearest]
+    dist_ref = state.dist[nearest]
     margin = lambda_filter * (10.0 / len(candidates)) * float(
         np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
-    keep = dist_ood >= (1.0 + margin) * dist_ref
-    kept_idx = np.nonzero(keep)[0]
+    kept_idx = np.flatnonzero(dist_ood >= (1.0 + margin) * dist_ref)
     if kept_idx.size == 0:
         raise AllFiltered("no candidate survived the Mahalanobis margin")
     cap = batch_size // n_id_classes + 2
@@ -282,21 +261,21 @@ def filter_fake_ood(candidates, state, lambda_filter, batch_size,
 def soft_labels(points, state, n_id_classes, eps0=1e-4, snapshot=None):
     """Distance-ratio soft labels over K+1 classes, normalized to sum 1.
 
-    Per class j the raw label is exp(ratio_j - 1) with
+    Per tracked class j the raw label is exp(ratio_j - 1) with
     ratio_j = reference distance of class j / distance of the point to
-    class j; the OOD entry is exp(1 - max_j ratio_j).  The normalized
-    result is the softmax of those exponents, which keeps far points
-    concentrated on K+1 without overflow.
+    class j; an untracked class gets zero mass.  The OOD entry is
+    exp(1 - max_j ratio_j).  The normalized result is the softmax of those
+    exponents, which keeps far points concentrated on K+1 without overflow.
     """
-    if snapshot is None:
-        snapshot = factor_snapshot(state, eps0)
-    classes = sorted(state.mu_lda)
-    dists = class_distances(np.asarray(points, dtype=float), snapshot)
-    ratios = (np.array([state.dist_id_lda[c] for c in classes])
-              / np.maximum(dists, 1e-12))
-    exponents = np.full((len(dists), n_id_classes + 1), -np.inf)
-    exponents[:, np.array(classes) - 1] = ratios - 1.0
-    exponents[:, n_id_classes] = 1.0 - ratios.max(axis=1)
+    k = n_id_classes
+    dists = class_distances(np.asarray(points, dtype=float),
+                            snapshot or factor_snapshot(state, eps0))
+    ratios = np.where(state.tracked[1:],
+                      state.dist[1:] / np.maximum(dists[:, 1:], 1e-12),
+                      -np.inf)
+    exponents = np.empty((len(dists), k + 1))
+    exponents[:, :k] = ratios - 1.0
+    exponents[:, k] = 1.0 - ratios.max(axis=1)
     return softmax(exponents, axis=1)
 
 
@@ -347,19 +326,18 @@ def grod_augment_batch(f, y, state, config, rng):
 
     s = f.shape[1]
     p_pca = min(config.pca_axes or min(s, 8), s, batch_size - 1)
-    boundaries = [(mine_boundary(f, pca_fit(f, p_pca)), None)]
-    if kappa > 0:
-        n_eligible = sum(1 for n in counts.values() if n >= 2)
-        if n_eligible >= 2:
-            p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
-            try:
-                for basis in lda_fit(f, y, p_lda, config.eps0):
-                    if basis.class_id in subset:
-                        boundaries.append(
-                            (mine_boundary(f[y == basis.class_id], basis),
-                             basis.class_id))
-            except DegenerateScatter:
-                info["fallback"] = "degenerate_scatter"
+    boundaries = [(mine_boundary(f, pca_fit(f, p_pca)), 0)]
+    n_eligible = sum(1 for n in counts.values() if n >= 2)
+    if n_eligible >= 2:    # then kappa > 0 too
+        p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
+        try:
+            for basis in lda_fit(f, y, p_lda, config.eps0):
+                if basis.class_id in subset:
+                    boundaries.append(
+                        (mine_boundary(f[y == basis.class_id], basis),
+                         basis.class_id))
+        except DegenerateScatter:
+            info["fallback"] = "degenerate_scatter"
 
     centers = build_ood_centers(boundaries, state, config.a, config.eps)
     num = config.num or max(8, math.ceil(batch_size / (kappa + 1)))
@@ -372,10 +350,8 @@ def grod_augment_batch(f, y, state, config, rng):
         info["fallback"] = "all_filtered"
         return f, id_labels, info
 
-    if kappa > 0 and state.mu_lda:
-        fake_labels = soft_labels(kept, state, k, config.eps0, snapshot)
-    else:
-        fake_labels = np.zeros((len(kept), k + 1))
-        fake_labels[:, k] = 1.0
+    # with kappa > 0, update_centers tracked the subset's classes
+    fake_labels = (soft_labels(kept, state, k, config.eps0, snapshot)
+                   if kappa > 0 else one_hot(np.full(len(kept), k + 1), k))
     info["n_fake"] = len(kept)
     return (np.vstack([f, kept]), np.vstack([id_labels, fake_labels]), info)

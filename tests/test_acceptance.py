@@ -257,7 +257,7 @@ def test_criterion_6_filter_invariants(capsys):
         kappa, subset = select_classes(counts, batch_size, k)
         update_centers(state, f, y, subset, config.gamma_opt)
 
-        boundaries = [(mine_boundary(f, pca_fit(f, 2)), None)]
+        boundaries = [(mine_boundary(f, pca_fit(f, 2)), 0)]
         if kappa > 0:
             try:
                 for basis in lda_fit(f, y, 1):
@@ -267,18 +267,19 @@ def test_criterion_6_filter_invariants(capsys):
                              basis.class_id))
             except DegenerateScatter:
                 pass
-        centers = build_ood_centers(boundaries, state, config.a, config.eps)
+        ood_centers = build_ood_centers(boundaries, state, config.a,
+                                        config.eps)
         # each outlier center sits within `a` of its boundary point
         offset = 0
         for bset, _ in boundaries:
             for point in bset.points:
-                dist = np.linalg.norm(centers[offset][0] - point)
+                dist = np.linalg.norm(ood_centers[0][offset] - point)
                 if dist > config.a + 1e-9:
                     violations.append(f"batch {i}: extension {dist:.3f} > a")
                 offset += 1
 
         grng = np.random.Generator(np.random.Philox(4000 + i))
-        candidates, _ = sample_fake_ood(centers, config.a, 16, grng)
+        candidates, _ = sample_fake_ood(ood_centers, config.a, 16, grng)
         try:
             kept = filter_fake_ood(candidates, state, config.lambda_filter,
                                    batch_size, k, grng, subset)
@@ -289,17 +290,16 @@ def test_criterion_6_filter_invariants(capsys):
             violations.append(f"batch {i}: cap exceeded ({len(kept)})")
         # oracle: scalar distance to the nearest tracked cluster (the
         # global center when the subset is empty) and its reference
-        inv = {None: regularized_inverse(state.cov_pca)}
-        inv.update((c, regularized_inverse(state.cov_lda[c]))
-                   for c in state.mu_lda)
+        classes = np.flatnonzero(state.tracked[1:]) + 1
+        inv = {c: regularized_inverse(state.cov[c]) for c in [0, *classes]}
 
         def nearest(v):
             if not subset:
-                return (mahalanobis_sq(v, state.mu_pca, inv[None]),
-                        state.dist_id_pca)
-            d, c = min((mahalanobis_sq(v, state.mu_lda[c], inv[c]), c)
-                       for c in sorted(state.mu_lda))
-            return d, state.dist_id_lda[c]
+                return (mahalanobis_sq(v, state.mu[0], inv[0]),
+                        state.dist[0])
+            d, c = min((mahalanobis_sq(v, state.mu[c], inv[c]), c)
+                       for c in classes)
+            return d, state.dist[c]
 
         dist_ood, dist_ref = np.array([nearest(v) for v in candidates]).T
         margin = config.lambda_filter * (10.0 / len(candidates)) * float(

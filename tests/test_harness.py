@@ -1,7 +1,9 @@
 """Tests for configuration, feature-file I/O, the training/eval commands
 and the CLI surface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -404,7 +406,7 @@ class TestTrainEval:
 
         def poisoned(f, y, state, cfg, rng):
             if state.initialized:
-                state.cov_lda[1] = -np.eye(state.dim)
+                state.cov[1] = -np.eye(state.dim)
             return real(f, y, state, cfg, rng)
 
         monkeypatch.setattr(harness, "grod_augment_batch", poisoned)
@@ -461,9 +463,9 @@ class TestTrainEval:
         path = tmp_path / "state.npz"
         save_grod_state(state, path)
         loaded = load_grod_state(path)
-        np.testing.assert_array_equal(loaded.mu_pca, state.mu_pca)
-        assert loaded.dist_id_pca == state.dist_id_pca
-        assert sorted(loaded.mu_lda) == sorted(state.mu_lda)
+        np.testing.assert_array_equal(loaded.mu[0], state.mu[0])
+        assert loaded.dist[0] == state.dist[0]
+        np.testing.assert_array_equal(loaded.tracked, state.tracked)
         with np.load(path) as data:     # an initialized state has no pool
             assert "pool_f" not in data.files
 
@@ -652,6 +654,141 @@ class TestEvalCheckpoint:
         err = self.eval_error(tmp_path, capsys, path)
         assert err == (f"error: FormatError: {path}: {name} expected {want} "
                        f"from the feature files, found {got}")
+
+
+class TestDatasetChecks:
+    """The three feature files must agree, train.csv must hold ID labels
+    only, and ViM needs enough train rows: each fails with one FormatError
+    line before any training or forward pass."""
+
+    def cli_error(self, tmp_path, capsys, command, lines, edit=None):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "out"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli.main(["gen-data", *args]) == 0
+        if edit:
+            edit(out)
+        capsys.readouterr()
+        assert cli.main([command, *args]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FormatError: ")
+        assert not (out / "report.json").exists()
+        if command != "eval":    # failed before training
+            assert not (out / "checkpoint.npz").exists()
+        return err[0], out
+
+    @pytest.mark.parametrize("name,dim,k", [("test", 3, 2), ("ood", 2, 3)])
+    def test_feature_files_must_agree(self, tmp_path, capsys, name, dim, k):
+        def edit(out):
+            rng = np.random.default_rng(0)
+            batch = FeatureBatch(rng.standard_normal((20, dim)),
+                                 np.full(20, 3))
+            write_feature_file(out / f"{name}.csv", batch, k)
+
+        err, out = self.cli_error(
+            tmp_path, capsys, "eval",
+            ["n_train_per_class=20", "n_test_per_class=10", "n_ood=10",
+             "scorer=msp"], edit)
+        assert err == (f"error: FormatError: {out / name}.csv:1: expected "
+                       f"dim=2,classes=2 as in train.csv, found "
+                       f"dim={dim},classes={k}")
+
+    def test_train_labels_are_id_only(self, tmp_path, capsys):
+        def edit(out):
+            train, k = read_feature_file(out / "train.csv")
+            train.labels[5] = k + 1
+            write_feature_file(out / "train.csv", train, k)
+
+        err, out = self.cli_error(
+            tmp_path, capsys, "train",
+            ["n_train_per_class=20", "n_test_per_class=10", "n_ood=10"], edit)
+        assert err == (f"error: FormatError: {out / 'train.csv'}:7: OOD label "
+                       f"3 in the training set")
+
+    @pytest.mark.parametrize("command", ["ingest", "eval"])
+    def test_vim_rows_checked_before_training(self, tmp_path, capsys,
+                                              command):
+        # 40 train rows at s=64: ViM's subspace needs d'+1 = 64
+        def edit(out):
+            budget = tfm.Budget(d_hat=64, h=1, m_h=1, m_V=1, r=1)
+            tfm.save_model(tfm.init_model(64, 1, 0, budget, 4, 0),
+                           out / "checkpoint.npz")
+
+        err, out = self.cli_error(
+            tmp_path, capsys, command,
+            ["task=ingest", "classes=4", "dim=64", "n_per_class=10",
+             "epochs=50", "scorer=vim"],
+            edit if command == "eval" else None)
+        assert err == (f"error: FormatError: {out / 'train.csv'}: scorer=vim "
+                       f"needs 64 rows at width 64, found 40")
+
+
+def oodkit_exception_names():
+    """Names of the exception classes that oodkit's own modules define."""
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("oodkit.")]
+    return {obj.__name__ for m in modules for obj in vars(m).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__.startswith("oodkit.")}
+
+
+@st.composite
+def hostile_ingest_sets(draw):
+    """(train features, train labels, k, config lines): tiny ingest sets
+    with duplicated rows, a constant column, dim above the batch size or a
+    class with a single sample."""
+    k = draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    labels = np.repeat(np.arange(1, k + 1), counts)
+    feats = rng.standard_normal((len(labels), dim)) + 3.0 * labels[:, None]
+    hostile = draw(st.sets(st.sampled_from(["dup", "const", "all_dup"])))
+    if "dup" in hostile:
+        feats[1::2] = feats[0::2][:len(feats[1::2])]
+    if "const" in hostile:
+        feats[:, 0] = 2.5
+    if "all_dup" in hostile:
+        feats[:] = feats[0]
+    batch_size = draw(st.integers(2, 16))
+    lines = ["task=ingest", f"batch_size={batch_size}",
+             f"epochs={draw(st.integers(1, 2))}", "lr=0.01",
+             f"warmup_batches={draw(st.integers(0, 2))}",
+             f"scorer={draw(st.sampled_from(['msp', 'energy', 'vim']))}"]
+    return feats, labels, k, lines
+
+
+class TestHostileFeatureFiles:
+    @given(hostile_ingest_sets())
+    @example((np.arange(36.0).reshape(3, 12) % 7, np.array([1, 1, 2]), 2,
+              ["task=ingest", "batch_size=2", "epochs=1", "scorer=vim"]))
+    @settings(max_examples=30, deadline=None)
+    def test_ingest_finishes_or_fails_with_one_oodkit_error(
+            self, tmp_path_factory, dataset):
+        feats, labels, k, lines = dataset
+        out = tmp_path_factory.mktemp("hostile")
+        write_feature_file(out / "train.csv", FeatureBatch(feats, labels), k)
+        write_feature_file(out / "test.csv", FeatureBatch(feats, labels), k)
+        ood = FeatureBatch(feats[:3] - 40.0, np.full(min(3, len(feats)),
+                                                     k + 1))
+        write_feature_file(out / "ood.csv", ood, k)
+        (out / "run.cfg").write_text("".join(f"{x}\n" for x in lines))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = cli.main(["ingest", "--config", str(out / "run.cfg"),
+                           "--seed", "1", "--out", str(out)])
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if line.startswith("error: ")]
+        if rc == 0:
+            log = json.loads((out / "train_log.json").read_text())
+            assert errors == []
+            assert all(math.isfinite(e["loss_l1"])
+                       and math.isfinite(e["loss_l2"]) for e in log["epochs"])
+        else:
+            assert rc == 1 and len(errors) == 1
+            kind = errors[0].split(":")[1].strip()
+            assert kind in oodkit_exception_names(), errors[0]
 
 
 class TestIngestCommand:

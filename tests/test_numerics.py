@@ -32,6 +32,21 @@ class TestRegularizedCholesky:
         with pytest.raises(NotPositiveDefinite):
             regularized_cholesky(-np.eye(3))
 
+    def test_stack_factors_each_matrix_at_its_own_scale(self):
+        rng = np.random.default_rng(8)
+        stack = np.array([random_spd(rng, 4) * 1e3, random_spd(rng, 4)])
+        np.testing.assert_array_equal(
+            regularized_cholesky(stack),
+            [regularized_cholesky(sigma) for sigma in stack])
+        # an asymmetry of 1e-9 is in tolerance at scale 1e3, not at 1
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1e-9
+        regularized_cholesky(np.array([stack[0] + skew, stack[1]]))
+        with pytest.raises(DimensionMismatch):
+            regularized_cholesky(np.array([stack[0], stack[1] + skew]))
+        with pytest.raises(NotPositiveDefinite):
+            regularized_cholesky(np.array([stack[0], -stack[1]]))
+
 
 class TestRegularizedInverse:
     def test_identity_no_regularization(self):

@@ -1,13 +1,15 @@
 """Tests for the synthetic-outlier engine: class selection, EMA statistics,
 boundary extension, candidate sampling, filtering and soft labels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodkit.numerics import (mahalanobis_sq, mahalanobis_sq_rows,
-                             regularized_inverse)
+                             regularized_inverse, sample_covariance, softmax)
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              UninitializedState, build_ood_centers,
                              class_distances, factor_snapshot,
@@ -16,7 +18,8 @@ from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              load_grod_state, one_hot, sample_fake_ood,
                              save_grod_state, select_classes, soft_labels,
                              update_centers)
-from oodkit.projections import BoundarySet
+from oodkit.projections import (BoundarySet, DegenerateScatter, lda_fit,
+                                mine_boundary, pca_fit)
 
 
 def make_state(rng, k=2, dim=2, spread=6.0, n=200):
@@ -34,6 +37,10 @@ def make_state(rng, k=2, dim=2, spread=6.0, n=200):
     return state, f, y
 
 
+def tracked_classes(state):
+    return [int(c) for c in np.flatnonzero(state.tracked[1:]) + 1]
+
+
 # Reference copies of the per-row engine that the batched distances replaced:
 # one scalar Mahalanobis distance per (point, center) against an explicit
 # regularized inverse.
@@ -42,12 +49,12 @@ def ref_ood_distance(v, state, subset, eps0=1e-4):
     """(distance, nearest class) of one point; class None when subset is
     empty (global center route)."""
     if len(subset) == 0:
-        return mahalanobis_sq(v, state.mu_pca,
-                              regularized_inverse(state.cov_pca, eps0)), None
+        return mahalanobis_sq(v, state.mu[0],
+                              regularized_inverse(state.cov[0], eps0)), None
     best, best_c = None, None
-    for c in sorted(state.mu_lda):
-        d = mahalanobis_sq(v, state.mu_lda[c],
-                           regularized_inverse(state.cov_lda[c], eps0))
+    for c in tracked_classes(state):
+        d = mahalanobis_sq(v, state.mu[c],
+                           regularized_inverse(state.cov[c], eps0))
         if best is None or d < best:
             best, best_c = d, c
     return best, best_c
@@ -61,7 +68,7 @@ def ref_filter_fake_ood(candidates, state, lambda_filter, batch_size,
     for i, v in enumerate(candidates):
         d, c = ref_ood_distance(v, state, subset, eps0)
         dist_ood[i] = d
-        dist_ref[i] = state.dist_id_pca if c is None else state.dist_id_lda[c]
+        dist_ref[i] = state.dist[0 if c is None else c]
     margin = lambda_filter * (10.0 / len(candidates)) * float(
         np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
     kept_idx = np.nonzero(dist_ood >= (1.0 + margin) * dist_ref)[0]
@@ -74,21 +81,185 @@ def ref_filter_fake_ood(candidates, state, lambda_filter, batch_size,
 
 
 def ref_soft_labels(points, state, n_id_classes, eps0=1e-4):
-    classes = sorted(state.mu_lda)
-    inv = {c: regularized_inverse(state.cov_lda[c], eps0) for c in classes}
+    classes = tracked_classes(state)
+    inv = {c: regularized_inverse(state.cov[c], eps0) for c in classes}
     k = n_id_classes
     labels = np.zeros((len(points), k + 1))
     for i, v in enumerate(points):
         exponents = np.full(k + 1, -np.inf)
         ratios = []
         for c in classes:
-            d = max(mahalanobis_sq(v, state.mu_lda[c], inv[c]), 1e-12)
-            ratios.append(state.dist_id_lda[c] / d)
+            d = max(mahalanobis_sq(v, state.mu[c], inv[c]), 1e-12)
+            ratios.append(state.dist[c] / d)
             exponents[c - 1] = ratios[-1] - 1.0
         exponents[k] = 1.0 - max(ratios)
         e = np.exp(exponents - np.max(exponents))
         labels[i] = e / e.sum()
     return labels
+
+
+# Dict-based copy of the engine from before its statistics became stacks
+# over K+1 centers: the global center apart (key None), the classes in
+# dicts, and the factors, distances, filter and soft labels in the same
+# order of arithmetic.  The stacked engine must reproduce it bit for bit.
+
+class RefState:
+    def __init__(self, k, dim):
+        self.n_id_classes, self.dim, self.batch_index = k, dim, 0
+        self.mu_pca = self.cov_pca = self.dist_id_pca = None
+        self.mu_lda, self.cov_lda, self.dist_id_lda = {}, {}, {}
+        self.pool_f, self.pool_y = [], []
+
+
+def ref_class_cov(rows, eps0, dim):
+    return sample_covariance(rows) if len(rows) > 1 else eps0 * np.eye(dim)
+
+
+def ref_ema(old, new, rate):
+    return (1.0 - rate) * old + rate * new
+
+
+def ref_snapshot(state, eps0):
+    def linv(cov):
+        sym = 0.5 * (cov + cov.T) + eps0 * np.eye(len(cov))
+        return np.linalg.inv(np.linalg.cholesky(sym))
+    snap = {None: (state.mu_pca, linv(state.cov_pca))}
+    snap.update((c, (state.mu_lda[c], linv(state.cov_lda[c])))
+                for c in sorted(state.mu_lda))
+    return snap
+
+
+def ref_rows(x, mu, linv):
+    z = (np.asarray(x, dtype=float) - mu) @ linv.T
+    return np.einsum("ij,ij->i", z, z)
+
+
+def ref_reference_distances(f, y, state, snap):
+    dist_lda = {c: float(np.mean(ref_rows(f[y == c], *snap[c])))
+                for c in sorted(state.mu_lda) if np.any(y == c)}
+    return float(np.mean(ref_rows(f, *snap[None]))), dist_lda
+
+
+def ref_initialize_state(state, f, y, eps0=1e-4):
+    f, y = np.asarray(f, dtype=float), np.asarray(y)
+    state.mu_pca = f.mean(axis=0)
+    state.cov_pca = ref_class_cov(f, eps0, state.dim)
+    for c in sorted(np.unique(y)):
+        state.mu_lda[int(c)] = f[y == c].mean(axis=0)
+        state.cov_lda[int(c)] = ref_class_cov(f[y == c], eps0, state.dim)
+    state.dist_id_pca, state.dist_id_lda = ref_reference_distances(
+        f, y, state, ref_snapshot(state, eps0))
+    state.pool_f, state.pool_y = [], []
+
+
+def ref_update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
+    state.mu_pca = ref_ema(state.mu_pca, f.mean(axis=0), gamma_opt)
+    state.cov_pca = ref_ema(state.cov_pca,
+                            ref_class_cov(f, eps0, state.dim), gamma_opt)
+    for c in subset:
+        rows = f[y == c]
+        mu, cov = rows.mean(axis=0), ref_class_cov(rows, eps0, state.dim)
+        if c in state.mu_lda:
+            mu = ref_ema(state.mu_lda[c], mu, gamma_opt)
+            cov = ref_ema(state.cov_lda[c], cov, gamma_opt)
+        state.mu_lda[c], state.cov_lda[c] = mu, cov
+    snap = ref_snapshot(state, eps0)
+    dist_pca, dist_lda = ref_reference_distances(f, y, state, snap)
+    state.dist_id_pca = ref_ema(state.dist_id_pca, dist_pca, gamma_opt)
+    for c, d in dist_lda.items():
+        state.dist_id_lda[c] = (ref_ema(state.dist_id_lda[c], d, gamma_opt)
+                                if c in state.dist_id_lda else d)
+    return snap
+
+
+def ref_build_ood_centers(boundaries, state, a, eps=1e-7):
+    centers = []
+    for bset, cls in boundaries:
+        mu = state.mu_pca if cls is None else state.mu_lda[cls]
+        for v in bset.points:
+            direction = (v - mu) / (np.linalg.norm(v - mu) + eps)
+            centers.append((v + a * direction, cls))
+    return centers
+
+
+def ref_sample_fake_ood(ood_centers, a, num, rng):
+    groups = {}
+    for center, cls in ood_centers:
+        groups.setdefault(cls, []).append(center)
+    points = []
+    for key in sorted(groups, key=lambda c: (c is not None, c)):
+        for j in range(num):
+            center = groups[key][j % len(groups[key])]
+            points.append(center + math.sqrt(a / 3.0)
+                          * rng.standard_normal(center.size))
+    return np.array(points)
+
+
+def ref_augment(f, y, state, config, rng):
+    """The per-batch pipeline of grod_augment_batch on a RefState."""
+    k, n = state.n_id_classes, len(y)
+    id_labels = one_hot(y, k)
+    state.batch_index += 1
+    if state.mu_pca is None:
+        state.pool_f.append(f.copy())
+        state.pool_y.append(y.copy())
+        if state.batch_index >= config.warmup_batches:
+            ref_initialize_state(state, np.vstack(state.pool_f),
+                                 np.concatenate(state.pool_y), config.eps0)
+        return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
+                              "fallback": None}
+    counts = {int(c): int(m) for c, m in zip(*np.unique(y, return_counts=True))}
+    kappa, subset = select_classes(counts, n, k)
+    info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
+    snap = ref_update_centers(state, f, y, subset, config.gamma_opt,
+                              config.eps0)
+    p_pca = min(config.pca_axes or min(f.shape[1], 8), f.shape[1], n - 1)
+    boundaries = [(mine_boundary(f, pca_fit(f, p_pca)), None)]
+    n_eligible = sum(1 for m in counts.values() if m >= 2)
+    if kappa > 0 and n_eligible >= 2:
+        p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
+        try:
+            boundaries += [(mine_boundary(f[y == b.class_id], b), b.class_id)
+                           for b in lda_fit(f, y, p_lda, config.eps0)
+                           if b.class_id in subset]
+        except DegenerateScatter:
+            info["fallback"] = "degenerate_scatter"
+    num = config.num or max(8, math.ceil(n / (kappa + 1)))
+    cands = ref_sample_fake_ood(
+        ref_build_ood_centers(boundaries, state, config.a, config.eps),
+        config.a, num, rng)
+    classes = sorted(state.mu_lda)
+    if not subset:
+        dist_ood = ref_rows(cands, *snap[None])
+        dist_ref = state.dist_id_pca
+    else:
+        dists = np.column_stack([ref_rows(cands, *snap[c]) for c in classes])
+        nearest = np.argmin(dists, axis=1)
+        dist_ood = dists[np.arange(len(dists)), nearest]
+        dist_ref = np.array([state.dist_id_lda[c] for c in classes])[nearest]
+    margin = config.lambda_filter * (10.0 / len(cands)) * float(
+        np.sum(dist_ood / np.maximum(dist_ref, 1e-12) - 1.0))
+    kept_idx = np.nonzero(dist_ood >= (1.0 + margin) * dist_ref)[0]
+    if kept_idx.size == 0:
+        info["fallback"] = "all_filtered"
+        return f, id_labels, info
+    if kept_idx.size > n // k + 2:
+        kept_idx = np.sort(rng.choice(kept_idx, size=n // k + 2,
+                                      replace=False))
+    kept = cands[kept_idx]
+    if kappa > 0:
+        dists = np.column_stack([ref_rows(kept, *snap[c]) for c in classes])
+        ratios = (np.array([state.dist_id_lda[c] for c in classes])
+                  / np.maximum(dists, 1e-12))
+        exponents = np.full((len(kept), k + 1), -np.inf)
+        exponents[:, np.array(classes) - 1] = ratios - 1.0
+        exponents[:, k] = 1.0 - ratios.max(axis=1)
+        fake_labels = softmax(exponents, axis=1)
+    else:
+        fake_labels = np.zeros((len(kept), k + 1))
+        fake_labels[:, k] = 1.0
+    info["n_fake"] = len(kept)
+    return np.vstack([f, kept]), np.vstack([id_labels, fake_labels]), info
 
 
 def random_cov(rng, dim):
@@ -133,10 +304,10 @@ class TestUpdateCenters:
     def test_single_step_recurrence(self):
         rng = np.random.default_rng(0)
         state, f, y = make_state(rng)
-        state.mu_pca = np.zeros(2)
+        state.mu[0] = np.zeros(2)
         batch = np.ones((10, 2))
         update_centers(state, batch, np.array([1] * 10), [], 0.1)
-        np.testing.assert_allclose(state.mu_pca, [0.1, 0.1], atol=1e-12)
+        np.testing.assert_allclose(state.mu[0], [0.1, 0.1], atol=1e-12)
 
     def test_full_replacement(self):
         rng = np.random.default_rng(1)
@@ -144,9 +315,9 @@ class TestUpdateCenters:
         batch = rng.standard_normal((20, 2)) + 5.0
         yb = np.array([1] * 20)
         update_centers(state, batch, yb, [1], 1.0)
-        np.testing.assert_allclose(state.mu_pca, batch.mean(axis=0),
+        np.testing.assert_allclose(state.mu[0], batch.mean(axis=0),
                                    atol=1e-12)
-        np.testing.assert_allclose(state.mu_lda[1], batch.mean(axis=0),
+        np.testing.assert_allclose(state.mu[1], batch.mean(axis=0),
                                    atol=1e-12)
 
     def test_geometric_convergence_to_fixed_point(self):
@@ -156,7 +327,7 @@ class TestUpdateCenters:
         yb = np.array([1] * 10)
         for _ in range(200):
             update_centers(state, batch, yb, [1], 0.1)
-        np.testing.assert_allclose(state.mu_pca, [3.0, 3.0], atol=1e-6)
+        np.testing.assert_allclose(state.mu[0], [3.0, 3.0], atol=1e-6)
 
     def test_uninitialized_raises(self):
         state = GrodState(n_id_classes=2, dim=2)
@@ -169,8 +340,8 @@ class TestIdReferenceDistances:
     def test_all_samples_at_center_zero(self):
         rng = np.random.default_rng(3)
         state, _, _ = make_state(rng)
-        f = np.tile(state.mu_pca, (10, 1))
-        d_pca, _ = id_reference_distances(f, np.array([1] * 10), state)
+        f = np.tile(state.mu[0], (10, 1))
+        d_pca = id_reference_distances(f, np.array([1] * 10), state)[0]
         assert d_pca <= 1e-6
 
     def test_standard_normal_chi_square_expectation(self):
@@ -179,17 +350,17 @@ class TestIdReferenceDistances:
         y = np.array([1] * 5000)
         state = GrodState(n_id_classes=1, dim=2)
         initialize_state(state, f, y)
-        d_pca, d_lda = id_reference_distances(f, y, state)
+        d_pca, *d_lda = id_reference_distances(f, y, state)
         assert abs(d_pca - 2.0) <= 0.2
-        assert abs(d_lda[1] - 2.0) <= 0.2
+        assert abs(d_lda[0] - 2.0) <= 0.2
 
     def test_class_restriction(self):
         rng = np.random.default_rng(5)
         state, f, y = make_state(rng)
-        _, d_lda = id_reference_distances(f, y, state)
+        d_lda = id_reference_distances(f, y, state)
         # restricted mean must match a manual recomputation for class 1
-        inv = regularized_inverse(state.cov_lda[1])
-        expected = np.mean([mahalanobis_sq(v, state.mu_lda[1], inv)
+        inv = regularized_inverse(state.cov[1])
+        expected = np.mean([mahalanobis_sq(v, state.mu[1], inv)
                             for v in f[y == 1]])
         assert d_lda[1] == pytest.approx(expected, rel=1e-10)
 
@@ -198,27 +369,27 @@ class TestBuildOodCenters:
     def test_hand_extension(self):
         rng = np.random.default_rng(6)
         state, _, _ = make_state(rng)
-        state.mu_pca = np.zeros(2)
+        state.mu[0] = np.zeros(2)
         bset = BoundarySet(points=[np.array([2.0, 0.0])], indices=[0],
                            source="PCA")
-        centers = build_ood_centers([(bset, None)], state, a=0.1)
-        np.testing.assert_allclose(centers[0][0], [2.1, 0.0], atol=1e-6)
-        assert centers[0][1] is None
+        centers, provenance = build_ood_centers([(bset, 0)], state, a=0.1)
+        np.testing.assert_allclose(centers[0], [2.1, 0.0], atol=1e-6)
+        assert provenance.tolist() == [0]
 
     def test_degenerate_direction_guard(self):
         rng = np.random.default_rng(7)
         state, _, _ = make_state(rng)
-        v = state.mu_pca.copy()
+        v = state.mu[0].copy()
         bset = BoundarySet(points=[v], indices=[0], source="PCA")
-        centers = build_ood_centers([(bset, None)], state, a=0.1)
-        np.testing.assert_allclose(centers[0][0], v, atol=1e-6)
+        centers, _ = build_ood_centers([(bset, 0)], state, a=0.1)
+        np.testing.assert_allclose(centers[0], v, atol=1e-6)
 
     def test_extension_within_a(self):
         rng = np.random.default_rng(8)
         state, f, _ = make_state(rng)
         bset = BoundarySet(points=[f[i] for i in range(5)],
                            indices=list(range(5)), source="PCA")
-        for center, _ in build_ood_centers([(bset, None)], state, a=0.1):
+        for center in build_ood_centers([(bset, 0)], state, a=0.1)[0]:
             matched = min(np.linalg.norm(center - f[i]) for i in range(5))
             assert matched <= 0.1 + 1e-9
 
@@ -226,30 +397,30 @@ class TestBuildOodCenters:
 class TestSampleFakeOod:
     def test_single_center_single_sample(self):
         rng = np.random.default_rng(9)
-        pts, prov = sample_fake_ood([(np.zeros(2), None)], a=0.1, num=1,
-                                    rng=rng)
+        pts, prov = sample_fake_ood((np.zeros((1, 2)), np.array([0])),
+                                    a=0.1, num=1, rng=rng)
         assert pts.shape == (1, 2)
-        assert prov == [None]
+        assert prov.tolist() == [0]
 
     def test_monte_carlo_variance(self):
         rng = np.random.default_rng(10)
-        pts, _ = sample_fake_ood([(np.zeros(2), None)], a=0.3, num=20000,
-                                 rng=rng)
+        pts, _ = sample_fake_ood((np.zeros((1, 2)), np.array([0])), a=0.3,
+                                 num=20000, rng=rng)
         var = pts.var(axis=0)
         np.testing.assert_allclose(var, 0.1, atol=0.01)
 
     def test_round_robin_and_group_counts(self):
         rng = np.random.default_rng(11)
-        centers = [(np.zeros(2), None), (np.full(2, 100.0), None),
-                   (np.full(2, -100.0), 1)]
+        centers = (np.array([np.zeros(2), np.full(2, 100.0),
+                             np.full(2, -100.0)]), np.array([0, 0, 1]))
         pts, prov = sample_fake_ood(centers, a=0.01, num=4, rng=rng)
         assert len(pts) == 8           # 4 per provenance group
-        assert prov.count(None) == 4 and prov.count(1) == 4
+        assert prov.tolist().count(0) == 4 and prov.tolist().count(1) == 4
         near_zero = np.sum(np.linalg.norm(pts[:4], axis=1) < 50)
         assert near_zero == 2          # round-robin over the two PCA centers
 
     def test_determinism(self):
-        centers = [(np.zeros(3), None)]
+        centers = (np.zeros((1, 3)), np.array([0]))
         a = sample_fake_ood(centers, 0.1, 5,
                             np.random.Generator(np.random.Philox(42)))[0]
         b = sample_fake_ood(centers, 0.1, 5,
@@ -264,27 +435,27 @@ class TestOodDistance:
     def test_empty_subset_uses_global_center(self):
         rng = np.random.default_rng(12)
         state, _, _ = make_state(rng)
-        d = mahalanobis_sq_rows(state.mu_pca[None],
-                                *factor_snapshot(state)[None])
+        mu, linv = factor_snapshot(state)
+        d = mahalanobis_sq_rows(state.mu[0][None], mu[0], linv[0])
         assert d.shape == (1,)
         assert d[0] <= 1e-6
 
     def test_at_class_center(self):
         rng = np.random.default_rng(13)
         state, _, _ = make_state(rng)
-        dists = class_distances(state.mu_lda[2][None], factor_snapshot(state))
-        assert np.argmin(dists[0]) + 1 == 2
-        assert dists[0].min() <= 1e-6
+        dists = class_distances(state.mu[2][None], factor_snapshot(state))
+        assert np.argmin(dists[0, 1:]) + 1 == 2
+        assert dists[0, 1:].min() <= 1e-6
 
     def test_bruteforce_min_oracle(self):
         rng = np.random.default_rng(14)
         state, _, _ = make_state(rng, k=3, dim=3)
         points = rng.standard_normal((20, 3)) * 10
-        dists = class_distances(points, factor_snapshot(state))
+        dists = class_distances(points, factor_snapshot(state))[:, 1:]
         for v, row in zip(points, dists):
             per_class = {
-                cc: mahalanobis_sq(v, state.mu_lda[cc],
-                                   regularized_inverse(state.cov_lda[cc]))
+                cc: mahalanobis_sq(v, state.mu[cc],
+                                   regularized_inverse(state.cov[cc]))
                 for cc in (1, 2, 3)}
             best = min(per_class, key=per_class.get)
             assert np.argmin(row) + 1 == best
@@ -293,23 +464,23 @@ class TestOodDistance:
     @given(st.sampled_from([1, 2, 8, 64]), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_batched_matches_scalar_oracle(self, dim, seed):
-        # spectra down to 1e-6; both the global center route (key None,
+        # spectra down to 1e-6; both the global center route (row 0,
         # used with an empty class subset) and every class center
         rng = np.random.default_rng(seed)
-        state = GrodState(n_id_classes=2, dim=dim, initialized=True,
-                          mu_pca=rng.standard_normal(dim),
-                          cov_pca=random_cov(rng, dim))
-        for c in (1, 2):
-            state.mu_lda[c] = rng.standard_normal(dim)
-            state.cov_lda[c] = random_cov(rng, dim)
+        state = GrodState(n_id_classes=2, dim=dim,
+                          tracked=np.ones(3, dtype=bool))
+        centers = [(rng.standard_normal(dim), random_cov(rng, dim))
+                   for _ in range(3)]
+        state.mu = np.array([mu for mu, _ in centers])
+        state.cov = np.array([cov for _, cov in centers])
         snapshot = factor_snapshot(state)
         points = rng.standard_normal((12, dim)) * rng.uniform(0.01, 10.0)
-        columns = {None: mahalanobis_sq_rows(points, *snapshot[None])}
-        columns.update(zip((1, 2), class_distances(points, snapshot).T))
+        columns = {0: mahalanobis_sq_rows(points, snapshot[0][0],
+                                          snapshot[1][0])}
+        columns.update(zip((1, 2), class_distances(points, snapshot)[:, 1:].T))
         for key, got in columns.items():
-            mu = state.mu_pca if key is None else state.mu_lda[key]
-            cov = state.cov_pca if key is None else state.cov_lda[key]
-            want = [mahalanobis_sq(v, mu, regularized_inverse(cov))
+            want = [mahalanobis_sq(v, state.mu[key],
+                                   regularized_inverse(state.cov[key]))
                     for v in points]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -319,8 +490,8 @@ class TestFilterFakeOod:
         rng = np.random.default_rng(15)
         state, _, _ = make_state(rng)
         grng = np.random.default_rng(0)
-        far = state.mu_lda[1] + 1000.0
-        kept = filter_fake_ood(np.vstack([state.mu_lda[1], far]), state,
+        far = state.mu[1] + 1000.0
+        kept = filter_fake_ood(np.vstack([state.mu[1], far]), state,
                                0.1, 64, 2, grng, [1, 2])
         assert len(kept) == 1
         np.testing.assert_allclose(kept[0], far)
@@ -330,14 +501,14 @@ class TestFilterFakeOod:
         # and survives the >= comparison
         rng = np.random.default_rng(16)
         state, _, _ = make_state(rng)
-        kept = filter_fake_ood(state.mu_pca[None] + 500.0, state, 0.1, 64, 2,
+        kept = filter_fake_ood(state.mu[0][None] + 500.0, state, 0.1, 64, 2,
                                np.random.default_rng(1), [1, 2])
         assert len(kept) == 1
 
     def test_zero_margin_keeps_all_far_candidates(self):
         rng = np.random.default_rng(30)
         state, _, _ = make_state(rng)
-        cands = np.stack([state.mu_pca + 500.0, state.mu_pca - 500.0])
+        cands = np.stack([state.mu[0] + 500.0, state.mu[0] - 500.0])
         kept = filter_fake_ood(cands, state, 0.0, 64, 2,
                                np.random.default_rng(1), [1, 2])
         assert len(kept) == 2
@@ -345,7 +516,7 @@ class TestFilterFakeOod:
     def test_cap_applied(self):
         rng = np.random.default_rng(17)
         state, _, _ = make_state(rng, k=2)
-        cands = state.mu_pca + 500.0 + rng.standard_normal((100, 2))
+        cands = state.mu[0] + 500.0 + rng.standard_normal((100, 2))
         kept = filter_fake_ood(cands, state, 0.1, 32, 10,
                                np.random.default_rng(2), [1, 2])
         assert len(kept) <= 32 // 10 + 2   # = 5
@@ -355,12 +526,12 @@ class TestFilterFakeOod:
         # the margin past their own distance and every one is deleted
         rng = np.random.default_rng(18)
         state, f, _ = make_state(rng)
-        inv = regularized_inverse(state.cov_lda[1])
+        inv = regularized_inverse(state.cov[1])
         unit = np.array([1.0, 0.0])
-        scale = np.sqrt(2.0 * state.dist_id_lda[1]
-                        / mahalanobis_sq(state.mu_lda[1] + unit,
-                                         state.mu_lda[1], inv))
-        cands = np.vstack([state.mu_lda[1] + scale * unit] * 5)
+        scale = np.sqrt(2.0 * state.dist[1]
+                        / mahalanobis_sq(state.mu[1] + unit,
+                                         state.mu[1], inv))
+        cands = np.vstack([state.mu[1] + scale * unit] * 5)
         with pytest.raises(AllFiltered):
             filter_fake_ood(cands, state, 0.5, 64, 2,
                             np.random.default_rng(3), [1, 2])
@@ -368,7 +539,7 @@ class TestFilterFakeOod:
     def test_retention_inequality_post_hoc(self):
         rng = np.random.default_rng(19)
         state, _, _ = make_state(rng)
-        cands = state.mu_pca + rng.standard_normal((50, 2)) * 20
+        cands = state.mu[0] + rng.standard_normal((50, 2)) * 20
         try:
             kept = filter_fake_ood(cands, state, 0.1, 64, 2,
                                    np.random.default_rng(4), [1, 2])
@@ -380,12 +551,12 @@ class TestFilterFakeOod:
         for i, v in enumerate(cands):
             d, c = ref_ood_distance(v, state, [1, 2])
             dist_ood[i] = d
-            dist_ref[i] = state.dist_id_lda[c]
+            dist_ref[i] = state.dist[c]
         margin = 0.1 * (10.0 / len(cands)) * np.sum(
             dist_ood / dist_ref - 1.0)
         for v in kept:
             d, c = ref_ood_distance(v, state, [1, 2])
-            assert d >= (1.0 + margin) * state.dist_id_lda[c] - 1e-9
+            assert d >= (1.0 + margin) * state.dist[c] - 1e-9
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_per_row_reference(self, seed):
@@ -395,7 +566,7 @@ class TestFilterFakeOod:
         dim = (2, 3, 8)[seed % 3]
         state, _, _ = make_state(rng, k=k, dim=dim, spread=4.0)
         subset = [] if seed % 4 == 0 else list(range(1, k + 1))
-        cands = state.mu_pca + rng.standard_normal((80, dim)) * (4.0 * k)
+        cands = state.mu[0] + rng.standard_normal((80, dim)) * (4.0 * k)
         args = (cands, state, 0.1, 64, k)
         want = ref_filter_fake_ood(
             *args, np.random.Generator(np.random.Philox(seed)), subset)
@@ -419,7 +590,7 @@ class TestSoftLabels:
     def test_far_point_concentrates_on_ood(self):
         rng = np.random.default_rng(21)
         state, _, _ = make_state(rng)
-        labels = soft_labels(np.array([state.mu_pca + 1e6]), state, 2)
+        labels = soft_labels(np.array([state.mu[0] + 1e6]), state, 2)
         assert np.argmax(labels[0]) == 2     # the K+1 slot for K=2
         assert labels[0, 2] >= 0.4
 
@@ -430,9 +601,9 @@ class TestSoftLabels:
             v = rng.standard_normal(3) * 8
             labels = soft_labels(np.array([v]), state, 3)
             per_class = {
-                c: state.dist_id_lda[c] / max(
-                    mahalanobis_sq(v, state.mu_lda[c],
-                                   regularized_inverse(state.cov_lda[c])),
+                c: state.dist[c] / max(
+                    mahalanobis_sq(v, state.mu[c],
+                                   regularized_inverse(state.cov[c])),
                     1e-12)
                 for c in (1, 2, 3)}
             best = max(per_class, key=per_class.get)
@@ -446,16 +617,16 @@ class TestSoftLabels:
         initialize_state(state, f, y)
         # force identical references/covariances/centers: every ratio is the
         # same for both classes, and picking the point at distance == ref
-        state.mu_lda[2] = state.mu_lda[1].copy()
-        state.cov_lda[2] = state.cov_lda[1].copy()
-        state.dist_id_lda[2] = state.dist_id_lda[1]
-        inv = regularized_inverse(state.cov_lda[1])
+        state.mu[2] = state.mu[1].copy()
+        state.cov[2] = state.cov[1].copy()
+        state.dist[2] = state.dist[1]
+        inv = regularized_inverse(state.cov[1])
         # find a point whose squared distance equals the reference distance
         direction = np.array([1.0, 0.0])
-        scale = np.sqrt(state.dist_id_lda[1]
-                        / mahalanobis_sq(state.mu_lda[1] + direction,
-                                         state.mu_lda[1], inv))
-        v = state.mu_lda[1] + scale * direction
+        scale = np.sqrt(state.dist[1]
+                        / mahalanobis_sq(state.mu[1] + direction,
+                                         state.mu[1], inv))
+        v = state.mu[1] + scale * direction
         labels = soft_labels(np.array([v]), state, 2)
         np.testing.assert_allclose(labels[0], 1.0 / 3.0, atol=1e-6)
 
@@ -520,7 +691,7 @@ class TestAugmentBatch:
 
     def test_not_pd_covariance_falls_back_to_id_only(self):
         _, state = self.run_post_warmup(seed=29)
-        state.cov_lda[1] = -np.eye(2)
+        state.cov[1] = -np.eye(2)
         rng = np.random.default_rng(29)
         f = np.vstack([rng.standard_normal((16, 2)) + [6.0, 0.0],
                        rng.standard_normal((16, 2)) + [0.0, 12.0]])
@@ -535,12 +706,56 @@ class TestAugmentBatch:
         _, state = self.run_post_warmup(seed=28)
         save_grod_state(state, tmp_path / "state.npz")
         clone = load_grod_state(tmp_path / "state.npz")
-        np.testing.assert_array_equal(clone.mu_pca, state.mu_pca)
-        np.testing.assert_array_equal(clone.cov_pca, state.cov_pca)
-        assert clone.dist_id_pca == state.dist_id_pca
-        for c in state.mu_lda:
-            np.testing.assert_array_equal(clone.mu_lda[c], state.mu_lda[c])
-            assert clone.dist_id_lda[c] == state.dist_id_lda[c]
+        np.testing.assert_array_equal(clone.mu[0], state.mu[0])
+        np.testing.assert_array_equal(clone.cov[0], state.cov[0])
+        assert clone.dist[0] == state.dist[0]
+        np.testing.assert_array_equal(clone.tracked, state.tracked)
+        for c in tracked_classes(state):
+            np.testing.assert_array_equal(clone.mu[c], state.mu[c])
+            assert clone.dist[c] == state.dist[c]
+
+
+class TestStackedStateMatchesDictOracle:
+    @pytest.mark.parametrize("dim,k", [(2, 2), (8, 3), (64, 4)])
+    def test_bitwise_equal_to_dict_engine(self, dim, k):
+        # class k first appears two batches after warmup; every seventh
+        # batch holds one row per class, so no class is eligible and the
+        # filter takes the global center route
+        rng = np.random.default_rng(700 + dim)
+        config = GrodConfig(warmup_batches=3)
+        state, ref = GrodState(n_id_classes=k, dim=dim), RefState(k, dim)
+        grng = np.random.Generator(np.random.Philox(dim))
+        ref_rng = np.random.Generator(np.random.Philox(dim))
+        means = 6.0 * rng.standard_normal((k, dim))
+        routes = set()
+        for b in range(45):
+            if b % 7 == 6:
+                y = np.arange(1, k + 1)
+            else:
+                y = rng.integers(1, k + (b >= 5), size=48)
+            f = means[y - 1] + rng.standard_normal((len(y), dim))
+            got = grod_augment_batch(f, y, state, config, grng)
+            want = ref_augment(f, y, ref, config, ref_rng)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            routes.add((got[2]["warmup"], got[2]["kappa"] > 0))
+            if ref.mu_pca is None:
+                assert not state.initialized
+                continue
+            classes = sorted(ref.mu_lda)
+            assert np.flatnonzero(state.tracked).tolist() == [0] + classes
+            rows = [0] + classes
+            np.testing.assert_array_equal(
+                state.mu[rows], [ref.mu_pca] + [ref.mu_lda[c] for c in classes])
+            np.testing.assert_array_equal(
+                state.cov[rows],
+                [ref.cov_pca] + [ref.cov_lda[c] for c in classes])
+            np.testing.assert_array_equal(
+                state.dist[rows],
+                [ref.dist_id_pca] + [ref.dist_id_lda[c] for c in classes])
+        assert k in ref.mu_lda
+        assert routes == {(True, False), (False, False), (False, True)}
 
 
 class TestGrodConfig:
