@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import warnings
 import zipfile
 
 import numpy as np
@@ -205,51 +206,104 @@ def write_feature_file(path, batch, n_id_classes):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_feature_file(path):
-    """Returns (FeatureBatch, n_id_classes).  Raises FormatError naming the
-    offending row."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+def _parse_rows(lines, dim):
+    """(n, dim+1) float table of feature rows: cells by numpy's C float
+    parser, the label by `int` (so `2.0` is rejected).  Both passes of
+    `read_feature_file` parse with this one call, so they accept one
+    grammar.  Empty lines are skipped here; the callers reject them."""
+    with warnings.catch_warnings():    # no data lines: the shape check fails
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                          converters={dim: int})
+
+
+def _read_header(path, line):
+    """(dim, classes, rows) from a feature file's first line."""
+    if not line:
         raise FormatError(f"{path}: empty file")
+    line = line.rstrip("\n")
     header = {}
     try:
-        for part in lines[0].split(","):
+        for part in line.split(","):
             key, _, val = part.partition("=")
             header[key] = int(val)
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
-        raise FormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+        raise FormatError(f"{path}:1: bad header {line!r}") from exc
     if dim < 1 or k < 2:
         raise FormatError(f"{path}:1: need dim >= 1 and classes >= 2, got "
                           f"dim={dim}, classes={k}")
     if rows < 1:
         raise FormatError(f"{path}:1: no rows")
-    if len(lines) - 1 != rows:
-        raise FormatError(f"{path}: header promises {rows} rows, "
-                          f"found {len(lines) - 1}")
-    feats = np.empty((rows, dim))
-    labels = np.empty(rows, dtype=int)
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise FormatError(f"{path}:{i}: expected {dim + 1} fields, "
-                              f"got {len(cells)}")
-        try:
-            feats[i - 2] = [float(c) for c in cells[:dim]]
-            labels[i - 2] = int(cells[dim])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{i}: unparsable row") from exc
-        if not 1 <= labels[i - 2] <= k + 1:
-            raise FormatError(f"{path}:{i}: label {labels[i - 2]} out of "
-                              f"range 1..{k + 1}")
-    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad_rows.size:
-        raise FormatError(f"{path}:{bad_rows[0] + 2}: non-finite value")
-    return synthdata.FeatureBatch(feats, labels), k
+    return dim, k, rows
+
+
+def read_feature_file(path):
+    """Returns (FeatureBatch, n_id_classes).  The rows are parsed in one
+    streaming pass; a file that fails it is read again by
+    `_raise_bad_row`, whose FormatError names the offending line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            dim, k, rows = _read_header(path, fh.readline())
+            n_lines = 0    # counts the empty lines that loadtxt skips
+
+            def lines():
+                nonlocal n_lines
+                for n_lines, line in enumerate(fh, start=1):
+                    yield line
+
+            try:
+                table = _parse_rows(lines(), dim)
+            except UnicodeDecodeError:    # a ValueError, but no row fault
+                raise
+            except ValueError:
+                table = None
+        if (table is None or n_lines != rows
+                or table.shape != (rows, dim + 1)
+                or not np.all((table[:, dim] >= 1) & (table[:, dim] <= k + 1))
+                or not np.isfinite(table[:, :dim]).all()):
+            _raise_bad_row(path, dim, k, rows)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    # contiguous rows: every later matmul sees one memory layout
+    return synthdata.FeatureBatch(np.ascontiguousarray(table[:, :dim]),
+                                  table[:, dim].astype(int)), k
+
+
+def _raise_bad_row(path, dim, k, rows):
+    """Re-read a feature file that the streaming pass rejected and raise
+    the FormatError for its first fault, by physical line: the row count,
+    then each line's field count, cells and label, then the first
+    non-finite cell.  An empty line has one field, so it is rejected."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        found = sum(1 for _ in fh)
+        if found != rows:
+            raise FormatError(f"{path}: header promises {rows} rows, "
+                              f"found {found}")
+        fh.seek(0)
+        fh.readline()
+        non_finite = None
+        for i, line in enumerate(fh, start=2):
+            n_fields = line.count(",") + 1
+            if n_fields != dim + 1:
+                raise FormatError(f"{path}:{i}: expected {dim + 1} fields, "
+                                  f"got {n_fields}")
+            try:
+                row = _parse_rows([line], dim)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{i}: unparsable row") from exc
+            if not 1 <= row[0, dim] <= k + 1:
+                raise FormatError(f"{path}:{i}: label {int(row[0, dim])} out "
+                                  f"of range 1..{k + 1}")
+            if non_finite is None and not np.isfinite(row[0, :dim]).all():
+                non_finite = i
+    if non_finite is not None:
+        raise FormatError(f"{path}:{non_finite}: non-finite value")
+    raise FormatError(f"{path}: rejected, but no line is at fault; "
+                      f"did the file change while it was read?")
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +541,26 @@ def _load_dataset(out_dir):
 
 
 def _check_vim_rows(config, out_dir, train, width):
-    """ViM calibrates on train.csv, which needs d'+1 rows at this width."""
+    """ViM calibrates on train.csv, which needs a residual space (d' < width,
+    so width >= 2) and d'+1 rows at this width."""
+    if config.scorer != "vim":
+        return
+    path = os.path.join(out_dir, "train.csv")
+    if width < 2:
+        raise FormatError(f"{path}: scorer=vim needs width >= 2, "
+                          f"found {width}")
     need, n = post.default_d_prime(width) + 1, len(train.labels)
-    if config.scorer == "vim" and n < need:
-        raise FormatError(f"{os.path.join(out_dir, 'train.csv')}: scorer=vim "
-                          f"needs {need} rows at width {width}, found {n}")
+    if n < need:
+        raise FormatError(f"{path}: scorer=vim needs {need} rows at width "
+                          f"{width}, found {n}")
 
 
 def cmd_train(config, seed, out_dir):
-    train, _, _, k = _load_dataset(out_dir)
+    return _train(config, seed, out_dir, _load_dataset(out_dir))
+
+
+def _train(config, seed, out_dir, dataset):
+    train, _, _, k = dataset
     ingest = config.task == "ingest"
     run_config = dataclasses.replace(    # head-only: identity input, no blocks
         config, depth=0, d_hat=train.features.shape[1], heads=1, m_h=1,
@@ -537,7 +602,11 @@ def _load_checkpoint(path, width, k):
 
 
 def cmd_eval(config, seed, out_dir, checkpoint=None):
-    train, test, ood, k = _load_dataset(out_dir)
+    return _eval(config, seed, out_dir, _load_dataset(out_dir), checkpoint)
+
+
+def _eval(config, seed, out_dir, dataset, checkpoint=None):
+    train, test, ood, k = dataset
     model = _load_checkpoint(checkpoint
                              or os.path.join(out_dir, "checkpoint.npz"),
                              train.features.shape[1], k)
@@ -613,6 +682,8 @@ def _sweep_row(label, depth, run_seed, model, train, test, ood):
 
 
 def cmd_ingest(config, seed, out_dir):
-    """Head-only training plus evaluation on externally supplied features."""
-    cmd_train(config, seed, out_dir)
-    return cmd_eval(config, seed, out_dir)
+    """Head-only training plus evaluation on externally supplied features;
+    the feature files are read once, for both."""
+    dataset = _load_dataset(out_dir)
+    _train(config, seed, out_dir, dataset)
+    return _eval(config, seed, out_dir, dataset)
