@@ -55,7 +55,7 @@ MINIMUMS = {"seed": 0, "batch_size": 2, "epochs": 1, "depth": 0, "d_hat": 1,
             "heads": 1, "m_h": 1, "m_v": 1, "ff": 1, "warmup_batches": 0,
             "num": 0, "pca_axes": 0, "lda_axes": 0, "n_train_per_class": 2,
             "n_test_per_class": 1, "n_ood": 1, "classes": 2, "dim": 2,
-            "n_per_class": 2}
+            "n_per_class": 2, "weight_decay": 0}
 CHOICES = {"task": ("mixture2d", "ingest"), "optimizer": ("adamw", "sgd"),
            "scorer": SCORERS}
 
@@ -524,20 +524,23 @@ def cmd_gen_data(config, seed, out_dir):
 
 def _load_dataset(out_dir):
     """(train, test, ood, K): test.csv and ood.csv must have train.csv's
-    dim and classes, and train.csv ID labels only."""
+    dim and classes, and train.csv and test.csv ID labels only."""
     paths = [os.path.join(out_dir, f"{n}.csv") for n in ("train", "test",
                                                           "ood")]
-    (train, k), *rest = [read_feature_file(path) for path in paths]
-    if np.any(train.labels > k):
-        raise FormatError(f"{paths[0]}:{np.argmax(train.labels > k) + 2}: "
-                          f"OOD label {k + 1} in the training set")
+    files = [read_feature_file(path) for path in paths]
+    (train, k), (test, _), (ood, _) = files
     want = f"dim={train.features.shape[1]},classes={k}"
-    for path, (batch, k_file) in zip(paths[1:], rest):
+    for path, (batch, k_file) in zip(paths[1:], files[1:]):
         got = f"dim={batch.features.shape[1]},classes={k_file}"
         if got != want:
             raise FormatError(f"{path}:1: expected {want} as in train.csv, "
                               f"found {got}")
-    return train, rest[0][0], rest[1][0], k
+    for path, batch, name in ((paths[0], train, "training set"),
+                              (paths[1], test, "ID test set")):
+        if np.any(batch.labels > k):
+            raise FormatError(f"{path}:{np.argmax(batch.labels > k) + 2}: "
+                              f"OOD label {k + 1} in the {name}")
+    return train, test, ood, k
 
 
 def _check_vim_rows(config, out_dir, train, width):

@@ -124,16 +124,13 @@ def aupr_out(id_scores, ood_scores):
                 -_finite("id_scores", id_scores))
 
 
-def id_accuracy(pred_labels, true_labels, restricted_to_id=True, n_id_classes=None):
-    """Fraction correct; optionally restricted to rows with ID true labels."""
+def id_accuracy(pred_labels, true_labels):
+    """Fraction of rows whose predicted label equals the true one."""
     pred_labels = np.asarray(pred_labels)
     true_labels = np.asarray(true_labels)
     if pred_labels.shape != true_labels.shape:
         raise LengthMismatch(
             f"{pred_labels.shape} vs {true_labels.shape}")
-    mask = np.ones(true_labels.shape, dtype=bool)
-    if restricted_to_id and n_id_classes is not None:
-        mask = true_labels <= n_id_classes
-    if not mask.any():
+    if true_labels.size == 0:
         raise EmptyClass("no ID-labeled samples")
-    return float(np.mean(pred_labels[mask] == true_labels[mask]))
+    return float(np.mean(pred_labels == true_labels))

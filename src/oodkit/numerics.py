@@ -15,7 +15,10 @@ class TooFewSamples(Exception):
     pass
 
 
-def regularized_cholesky(sigma, eps0=1e-4):
+EPS0 = 1e-4   # ridge added to every covariance and scatter before factoring
+
+
+def regularized_cholesky(sigma, eps0=EPS0):
     """Lower Cholesky factor L of sigma + eps0*I = L L^T for a symmetric
     sigma or each matrix of a (..., d, d) stack, each checked for symmetry
     at its own scale.  Raises NotPositiveDefinite if one fails."""
@@ -34,7 +37,7 @@ def regularized_cholesky(sigma, eps0=1e-4):
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def regularized_inverse(sigma, eps0=1e-4):
+def regularized_inverse(sigma, eps0=EPS0):
     """(sigma + eps0*I)^-1 as (L^-1)^T L^-1, with L^-1 the inverse of the
     regularized_cholesky factor."""
     linv = np.linalg.inv(regularized_cholesky(sigma, eps0))

@@ -3,11 +3,13 @@
 Per batch it: picks a class subset sized to the batch budget, EMA-updates
 the centers, covariances and reference Mahalanobis distances (stacks over
 K+1 centers: row 0 global, row c class c), factoring the whole covariance
-stack once for all of the batch's distances, mines projection-boundary
-samples, pushes them outward to get outlier centers, samples Gaussian
-candidates around those centers, deletes the ID-like ones by a Mahalanobis
-margin, caps the survivors, and attaches distance-ratio soft labels over
-K+1 classes.
+stack once into the snapshot that every distance of the batch reads, mines
+boundary rows (the batch's in its PCA basis, each selected class's in the
+one LDA basis), pushes them outward to get outlier centers, samples
+Gaussian candidates around those centers, deletes the ID-like ones by a
+Mahalanobis margin, caps the survivors, and attaches distance-ratio soft
+labels over K+1 classes.  Every covariance is regularized by the fixed
+ridge numerics.EPS0 before it is factored.
 """
 
 import json
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (NotPositiveDefinite, TooFewSamples,
+from .numerics import (EPS0, NotPositiveDefinite, TooFewSamples,
                        mahalanobis_sq_rows, regularized_cholesky,
                        sample_covariance, softmax)
 from .projections import DegenerateScatter, lda_fit, mine_boundary, pca_fit
@@ -42,8 +44,6 @@ class GrodConfig:
     num: int = 0                   # candidates per cluster group, 0 -> auto
     warmup_batches: int = 5
     lambda_filter: float = 0.1     # filter margin weight, >= 0
-    eps: float = 1e-7
-    eps0: float = 1e-4
     pca_axes: int = 0              # 0 -> min(s, 8)
     lda_axes: int = 0              # 0 -> min(K-1, 4)
 
@@ -110,11 +110,11 @@ def load_grod_state(path):
     return state
 
 
-def _class_cov(rows, eps0, dim):
+def _class_cov(rows, dim):
     try:
         return sample_covariance(rows)
     except TooFewSamples:
-        return eps0 * np.eye(dim)
+        return EPS0 * np.eye(dim)
 
 
 def select_classes(class_counts, batch_size, n_id_classes):
@@ -131,15 +131,14 @@ def _ema(old, new, rate):
     return (1.0 - rate) * old + rate * new
 
 
-def factor_snapshot(state, eps0=1e-4):
+def factor_snapshot(state):
     """(mu, L^-1): a copy of the (K+1, d) centers and the inverted
     regularized Cholesky factors of the (K+1, d, d) covariances, from one
     stacked factorization, so every distance to a center is one matmul.
-    The distance functions below build it from state when not passed one."""
+    The distance functions below take it as their `snapshot`."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    return (state.mu.copy(),
-            np.linalg.inv(regularized_cholesky(state.cov, eps0)))
+    return state.mu.copy(), np.linalg.inv(regularized_cholesky(state.cov))
 
 
 def class_distances(points, snapshot):
@@ -148,11 +147,11 @@ def class_distances(points, snapshot):
     return mahalanobis_sq_rows(points, *snapshot).T
 
 
-def id_reference_distances(f, y, state, eps0=1e-4, snapshot=None):
+def id_reference_distances(f, y, state, snapshot):
     """(K+1,) batch-mean squared Mahalanobis distances: row 0 over all of
     f, row c over the rows of class c; NaN for a class that is untracked
     or absent from the batch."""
-    mu, linv = snapshot or factor_snapshot(state, eps0)
+    mu, linv = snapshot
     out = np.full(len(mu), np.nan)
     for c in np.flatnonzero(state.tracked):
         rows = f if c == 0 else f[y == c]
@@ -161,7 +160,7 @@ def id_reference_distances(f, y, state, eps0=1e-4, snapshot=None):
     return out
 
 
-def update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
+def update_centers(state, f, y, subset, gamma_opt):
     """Update of the global center and the subset's classes: a center not
     yet tracked takes the batch's mean and covariance, a tracked one their
     EMA; the reference distances likewise.  Returns the factor snapshot of
@@ -173,46 +172,45 @@ def update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
     for i, rows in [(0, f)] + [(c, f[y == c]) for c in subset]:
         if rows.shape[0] == 0:
             continue
-        mu, cov = rows.mean(axis=0), _class_cov(rows, eps0, state.dim)
+        mu, cov = rows.mean(axis=0), _class_cov(rows, state.dim)
         if state.tracked[i]:
             mu = _ema(state.mu[i], mu, gamma_opt)
             cov = _ema(state.cov[i], cov, gamma_opt)
         state.mu[i], state.cov[i], state.tracked[i] = mu, cov, True
-    snapshot = factor_snapshot(state, eps0)
-    new = id_reference_distances(f, y, state, eps0, snapshot)
+    snapshot = factor_snapshot(state)
+    new = id_reference_distances(f, y, state, snapshot)
     new = np.where(was_tracked, _ema(state.dist, new, gamma_opt), new)
     state.dist = np.where(np.isnan(new), state.dist, new)
     return snapshot
 
 
-def initialize_state(state, f, y, eps0=1e-4):
+def initialize_state(state, f, y):
     """Seed the statistics from a pooled warmup feature set: empty stacks,
     then one update over the pool's classes."""
     k1, d = state.n_id_classes + 1, state.dim
     state.mu, state.cov = np.zeros((k1, d)), np.zeros((k1, d, d))
     state.dist, state.tracked = np.zeros(k1), np.zeros(k1, dtype=bool)
     y = np.asarray(y)
-    update_centers(state, np.asarray(f, dtype=float), y, np.unique(y), 1.0,
-                   eps0)
+    update_centers(state, np.asarray(f, dtype=float), y, np.unique(y), 1.0)
     state.pool_f, state.pool_y = [], []
     return state
 
 
-def build_ood_centers(boundaries, state, a, eps=1e-7):
+def build_ood_centers(boundaries, state, a):
     """Extend each boundary point outward from its center by length a.
 
-    boundaries: list of (BoundarySet, center row: 0 global, c class c).
+    boundaries: list of (rows (m_i, d), center row: 0 global, c class c).
     Returns (centers (m, d), provenance (m,)), one row per boundary point.
     """
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    points = np.vstack([bset.points for bset, _ in boundaries])
-    provenance = np.concatenate([np.full(len(bset.points), row)
-                                 for bset, row in boundaries])
+    points = np.vstack([rows for rows, _ in boundaries])
+    provenance = np.concatenate([np.full(len(rows), center)
+                                 for rows, center in boundaries])
     diff = points - state.mu[provenance]
     # one dot product per row: bitwise equal to np.linalg.norm of each
     norm = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0]
-    return points + a * (diff / (norm + eps)), provenance
+    return points + a * (diff / (norm + 1e-7)), provenance
 
 
 def sample_fake_ood(ood_centers, a, num, rng):
@@ -233,14 +231,13 @@ def sample_fake_ood(ood_centers, a, num, rng):
 
 
 def filter_fake_ood(candidates, state, lambda_filter, batch_size,
-                    n_id_classes, rng, subset, eps0=1e-4, snapshot=None):
+                    n_id_classes, rng, subset, snapshot):
     """Delete ID-like candidates by the Mahalanobis margin, then randomly
     downsample the survivors to at most floor(B/K) + 2 points.  Each
     candidate is measured against the global center when subset is empty,
     else against its nearest tracked class (the first one on ties)."""
     candidates = np.asarray(candidates, dtype=float)
-    dists = class_distances(candidates,
-                            snapshot or factor_snapshot(state, eps0))
+    dists = class_distances(candidates, snapshot)
     nearest = np.zeros(len(dists), dtype=int)
     if len(subset):
         nearest += 1 + np.argmin(
@@ -258,7 +255,7 @@ def filter_fake_ood(candidates, state, lambda_filter, batch_size,
     return candidates[kept_idx]
 
 
-def soft_labels(points, state, n_id_classes, eps0=1e-4, snapshot=None):
+def soft_labels(points, state, n_id_classes, snapshot):
     """Distance-ratio soft labels over K+1 classes, normalized to sum 1.
 
     Per tracked class j the raw label is exp(ratio_j - 1) with
@@ -268,8 +265,7 @@ def soft_labels(points, state, n_id_classes, eps0=1e-4, snapshot=None):
     exponents, which keeps far points concentrated on K+1 without overflow.
     """
     k = n_id_classes
-    dists = class_distances(np.asarray(points, dtype=float),
-                            snapshot or factor_snapshot(state, eps0))
+    dists = class_distances(np.asarray(points, dtype=float), snapshot)
     ratios = np.where(state.tracked[1:],
                       state.dist[1:] / np.maximum(dists[:, 1:], 1e-12),
                       -np.inf)
@@ -307,7 +303,7 @@ def grod_augment_batch(f, y, state, config, rng):
         state.batch_index += 1
         if state.batch_index >= config.warmup_batches:
             initialize_state(state, np.vstack(state.pool_f),
-                             np.concatenate(state.pool_y), config.eps0)
+                             np.concatenate(state.pool_y))
         return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
                               "fallback": None}
 
@@ -316,8 +312,7 @@ def grod_augment_batch(f, y, state, config, rng):
     kappa, subset = select_classes(counts, batch_size, k)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     try:
-        snapshot = update_centers(state, f, y, subset, config.gamma_opt,
-                                  config.eps0)
+        snapshot = update_centers(state, f, y, subset, config.gamma_opt)
     except NotPositiveDefinite:
         info["fallback"] = "not_pd"
         return f, id_labels, info
@@ -326,32 +321,31 @@ def grod_augment_batch(f, y, state, config, rng):
 
     s = f.shape[1]
     p_pca = min(config.pca_axes or min(s, 8), s, batch_size - 1)
-    boundaries = [(mine_boundary(f, pca_fit(f, p_pca)), 0)]
+    boundaries = [(f[mine_boundary(f, pca_fit(f, p_pca))], 0)]
     n_eligible = sum(1 for n in counts.values() if n >= 2)
     if n_eligible >= 2:    # then kappa > 0 too
         p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
         try:
-            for basis in lda_fit(f, y, p_lda, config.eps0):
-                if basis.class_id in subset:
-                    boundaries.append(
-                        (mine_boundary(f[y == basis.class_id], basis),
-                         basis.class_id))
+            basis = lda_fit(f, y, p_lda)
         except DegenerateScatter:
             info["fallback"] = "degenerate_scatter"
+        else:   # lda_fit's classes are select_classes' eligible ones
+            for c in subset:
+                rows = f[y == c]
+                boundaries.append((rows[mine_boundary(rows, basis)], c))
 
-    centers = build_ood_centers(boundaries, state, config.a, config.eps)
+    centers = build_ood_centers(boundaries, state, config.a)
     num = config.num or max(8, math.ceil(batch_size / (kappa + 1)))
     candidates, _ = sample_fake_ood(centers, config.a, num, rng)
     try:
         kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                               batch_size, k, rng, subset, config.eps0,
-                               snapshot)
+                               batch_size, k, rng, subset, snapshot)
     except AllFiltered:
         info["fallback"] = "all_filtered"
         return f, id_labels, info
 
     # with kappa > 0, update_centers tracked the subset's classes
-    fake_labels = (soft_labels(kept, state, k, config.eps0, snapshot)
+    fake_labels = (soft_labels(kept, state, k, snapshot)
                    if kappa > 0 else one_hot(np.full(len(kept), k + 1), k))
     info["n_fake"] = len(kept)
     return (np.vstack([f, kept]), np.vstack([id_labels, fake_labels]), info)

@@ -1,6 +1,11 @@
-"""PCA / per-class LDA projections and boundary-sample mining."""
+"""PCA / LDA projections and boundary-sample mining.
 
-from dataclasses import dataclass, field
+A fit returns one ProjectionBasis; mine_boundary returns the indices of the
+rows extreme along its axes.  The outlier engine mines the whole batch in
+the PCA basis and each selected class's rows in the shared LDA basis.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +23,8 @@ class EmptyInput(Exception):
 
 @dataclass
 class ProjectionBasis:
-    kind: str                   # "PCA" or "LDA"
     axes: np.ndarray            # p x s
     mean: np.ndarray            # s
-    class_id: int | None = None  # LDA only: class whose rows feed mine_boundary
-
-
-@dataclass
-class BoundarySet:
-    points: list = field(default_factory=list)   # rows of the input batch
-    indices: list = field(default_factory=list)  # row indices into the batch
-    source: str = ""
 
 
 def _fix_signs(axes):
@@ -51,15 +47,14 @@ def pca_fit(f, p):
         raise ValueError(f"p={p} out of range for n={n}, s={s}")
     _, vecs = np.linalg.eigh(sample_covariance(f))
     axes = _fix_signs(vecs[:, :-p - 1:-1].T)   # top p, descending
-    return ProjectionBasis(kind="PCA", axes=axes, mean=f.mean(axis=0))
+    return ProjectionBasis(axes=axes, mean=f.mean(axis=0))
 
 
-def lda_fit(f, y, p, eps0=1e-4):
-    """Fisher discriminant axes; one basis per class for restricted mining.
+def lda_fit(f, y, p):
+    """Fisher discriminant axes over the classes with at least 2 rows.
 
-    With the regularized within-class scatter Sw + eps0*I = L L^T, the
+    With the regularized within-class scatter Sw + EPS0*I = L L^T, the
     problem Sb v = lambda Sw v is eigh(L^-1 Sb L^-T) u = lambda u, v = L^-T u.
-    All bases share the axes; class_id names the class each restricts to.
     """
     f = np.asarray(f, dtype=float)
     y = np.asarray(y)
@@ -81,33 +76,23 @@ def lda_fit(f, y, p, eps0=1e-4):
         diff = (mu_c - mean)[:, None]
         sb += rows.shape[0] * (diff @ diff.T)
     try:
-        linv = np.linalg.inv(regularized_cholesky(sw, eps0))
+        linv = np.linalg.inv(regularized_cholesky(sw))
         vals, u = np.linalg.eigh(linv @ sb @ linv.T)
     except (NotPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise DegenerateScatter(str(exc)) from exc
     vecs = linv.T @ u
     order = np.argsort(vals)[::-1][:p]
-    axes = _fix_signs(vecs[:, order].T)
-    return [ProjectionBasis(kind="LDA", axes=axes, mean=mean, class_id=int(c))
-            for c in classes]
+    return ProjectionBasis(axes=_fix_signs(vecs[:, order].T), mean=mean)
 
 
 def mine_boundary(f, basis):
-    """Rows of f attaining the max and min along each projection axis.
-
-    Selection is a preimage lookup: the returned points are rows of f,
-    never reconstructions.  Duplicates (same row hit by several axes)
-    are removed, so at most 2p points come back.
-    """
+    """Indices of the rows of f attaining the max and then the min along
+    each projection axis, in that order; a row already picked is not
+    repeated, so at most 2p indices come back.  Ties go to the first row."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] == 0:
         raise EmptyInput("mine_boundary got an empty batch")
     proj = (f - basis.mean) @ basis.axes.T   # n x p
-    picked = []
-    for j in range(proj.shape[1]):
-        for idx in (int(np.argmax(proj[:, j])), int(np.argmin(proj[:, j]))):
-            if idx not in picked:
-                picked.append(idx)
-    source = basis.kind if basis.class_id is None else f"LDA({basis.class_id})"
-    return BoundarySet(points=[f[i].copy() for i in picked],
-                       indices=picked, source=source)
+    hits = np.stack([proj.argmax(axis=0), proj.argmin(axis=0)], axis=1).ravel()
+    _, first = np.unique(hits, return_index=True)
+    return hits[np.sort(first)]

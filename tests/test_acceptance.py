@@ -255,34 +255,29 @@ def test_criterion_6_filter_invariants(capsys):
         counts = {int(c): int(n)
                   for c, n in zip(*np.unique(y, return_counts=True))}
         kappa, subset = select_classes(counts, batch_size, k)
-        update_centers(state, f, y, subset, config.gamma_opt)
+        snapshot = update_centers(state, f, y, subset, config.gamma_opt)
 
-        boundaries = [(mine_boundary(f, pca_fit(f, 2)), 0)]
+        boundaries = [(f[mine_boundary(f, pca_fit(f, 2))], 0)]
         if kappa > 0:
             try:
-                for basis in lda_fit(f, y, 1):
-                    if basis.class_id in subset:
-                        boundaries.append(
-                            (mine_boundary(f[y == basis.class_id], basis),
-                             basis.class_id))
+                basis = lda_fit(f, y, 1)
+                for c in subset:
+                    rows = f[y == c]
+                    boundaries.append((rows[mine_boundary(rows, basis)], c))
             except DegenerateScatter:
                 pass
-        ood_centers = build_ood_centers(boundaries, state, config.a,
-                                        config.eps)
+        ood_centers = build_ood_centers(boundaries, state, config.a)
         # each outlier center sits within `a` of its boundary point
-        offset = 0
-        for bset, _ in boundaries:
-            for point in bset.points:
-                dist = np.linalg.norm(ood_centers[0][offset] - point)
-                if dist > config.a + 1e-9:
-                    violations.append(f"batch {i}: extension {dist:.3f} > a")
-                offset += 1
+        points = np.vstack([rows for rows, _ in boundaries])
+        for dist in np.linalg.norm(ood_centers[0] - points, axis=1):
+            if dist > config.a + 1e-9:
+                violations.append(f"batch {i}: extension {dist:.3f} > a")
 
         grng = np.random.Generator(np.random.Philox(4000 + i))
         candidates, _ = sample_fake_ood(ood_centers, config.a, 16, grng)
         try:
             kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                                   batch_size, k, grng, subset)
+                                   batch_size, k, grng, subset, snapshot)
         except AllFiltered:
             continue
         batches_checked += 1
@@ -308,7 +303,7 @@ def test_criterion_6_filter_invariants(capsys):
             d, ref = nearest(v)
             if d < (1.0 + margin) * ref - 1e-9:
                 violations.append(f"batch {i}: retention inequality broken")
-        labels = soft_labels(kept, state, k) if subset else None
+        labels = soft_labels(kept, state, k, snapshot) if subset else None
         if labels is not None and np.max(
                 np.abs(labels.sum(axis=1) - 1.0)) > 1e-8:
             violations.append(f"batch {i}: soft-label rows do not sum to 1")

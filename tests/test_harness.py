@@ -81,7 +81,8 @@ class TestExperimentConfig:
         ("classes", "1"), ("dim", "1"), ("n_per_class", "0"),
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
-        ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1")])
+        ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1"),
+        ("weight_decay", "-50")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
             ExperimentConfig.parse({key: value})
@@ -933,17 +934,20 @@ class TestDatasetChecks:
                        f"dim=2,classes=2 as in train.csv, found "
                        f"dim={dim},classes={k}")
 
-    def test_train_labels_are_id_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name,command,label", [
+        ("train", "train", "training set"), ("test", "eval", "ID test set")])
+    def test_train_labels_are_id_only(self, tmp_path, capsys, name, command,
+                                      label):
         def edit(out):
-            train, k = read_feature_file(out / "train.csv")
-            train.labels[5] = k + 1
-            write_feature_file(out / "train.csv", train, k)
+            batch, k = read_feature_file(out / f"{name}.csv")
+            batch.labels[5] = k + 1
+            write_feature_file(out / f"{name}.csv", batch, k)
 
         err, out = self.cli_error(
-            tmp_path, capsys, "train",
+            tmp_path, capsys, command,
             ["n_train_per_class=20", "n_test_per_class=10", "n_ood=10"], edit)
-        assert err == (f"error: FormatError: {out / 'train.csv'}:7: OOD label "
-                       f"3 in the training set")
+        assert err == (f"error: FormatError: {out / name}.csv:7: OOD label "
+                       f"3 in the {label}")
 
     @pytest.mark.parametrize("command", ["ingest", "eval"])
     def test_vim_rows_checked_before_training(self, tmp_path, capsys,

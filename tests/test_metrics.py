@@ -219,15 +219,6 @@ class TestIdAccuracy:
         true = [1] * 5 + [3] * 5
         assert id_accuracy(pred, true) == 0.5
 
-    def test_restriction_to_id_rows(self):
-        pred = np.array([1, 2, 3, 3])
-        true = np.array([1, 2, 3, 3])   # label 3 = OOD when K=2
-        assert id_accuracy(pred, true, restricted_to_id=True,
-                           n_id_classes=2) == 1.0
-        pred = np.array([1, 1, 3, 1])
-        assert id_accuracy(pred, true, restricted_to_id=True,
-                           n_id_classes=2) == 0.5
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             id_accuracy([1, 2], [1])

@@ -18,8 +18,8 @@ from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              load_grod_state, one_hot, sample_fake_ood,
                              save_grod_state, select_classes, soft_labels,
                              update_centers)
-from oodkit.projections import (BoundarySet, DegenerateScatter, lda_fit,
-                                mine_boundary, pca_fit)
+from oodkit.projections import (DegenerateScatter, lda_fit, mine_boundary,
+                                pca_fit)
 
 
 def make_state(rng, k=2, dim=2, spread=6.0, n=200):
@@ -172,11 +172,15 @@ def ref_update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
     return snap
 
 
+def ref_boundary(rows, basis):
+    return [rows[i] for i in mine_boundary(rows, basis)]
+
+
 def ref_build_ood_centers(boundaries, state, a, eps=1e-7):
     centers = []
-    for bset, cls in boundaries:
+    for points, cls in boundaries:
         mu = state.mu_pca if cls is None else state.mu_lda[cls]
-        for v in bset.points:
+        for v in points:
             direction = (v - mu) / (np.linalg.norm(v - mu) + eps)
             centers.append((v + a * direction, cls))
     return centers
@@ -205,28 +209,27 @@ def ref_augment(f, y, state, config, rng):
         state.pool_y.append(y.copy())
         if state.batch_index >= config.warmup_batches:
             ref_initialize_state(state, np.vstack(state.pool_f),
-                                 np.concatenate(state.pool_y), config.eps0)
+                                 np.concatenate(state.pool_y))
         return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
                               "fallback": None}
     counts = {int(c): int(m) for c, m in zip(*np.unique(y, return_counts=True))}
     kappa, subset = select_classes(counts, n, k)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
-    snap = ref_update_centers(state, f, y, subset, config.gamma_opt,
-                              config.eps0)
+    snap = ref_update_centers(state, f, y, subset, config.gamma_opt)
     p_pca = min(config.pca_axes or min(f.shape[1], 8), f.shape[1], n - 1)
-    boundaries = [(mine_boundary(f, pca_fit(f, p_pca)), None)]
+    boundaries = [(ref_boundary(f, pca_fit(f, p_pca)), None)]
     n_eligible = sum(1 for m in counts.values() if m >= 2)
     if kappa > 0 and n_eligible >= 2:
         p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
         try:
-            boundaries += [(mine_boundary(f[y == b.class_id], b), b.class_id)
-                           for b in lda_fit(f, y, p_lda, config.eps0)
-                           if b.class_id in subset]
+            basis = lda_fit(f, y, p_lda)
+            boundaries += [(ref_boundary(f[y == c], basis), c)
+                           for c in subset]
         except DegenerateScatter:
             info["fallback"] = "degenerate_scatter"
     num = config.num or max(8, math.ceil(n / (kappa + 1)))
     cands = ref_sample_fake_ood(
-        ref_build_ood_centers(boundaries, state, config.a, config.eps),
+        ref_build_ood_centers(boundaries, state, config.a),
         config.a, num, rng)
     classes = sorted(state.mu_lda)
     if not subset:
@@ -341,7 +344,8 @@ class TestIdReferenceDistances:
         rng = np.random.default_rng(3)
         state, _, _ = make_state(rng)
         f = np.tile(state.mu[0], (10, 1))
-        d_pca = id_reference_distances(f, np.array([1] * 10), state)[0]
+        d_pca = id_reference_distances(f, np.array([1] * 10), state,
+                                       factor_snapshot(state))[0]
         assert d_pca <= 1e-6
 
     def test_standard_normal_chi_square_expectation(self):
@@ -350,14 +354,15 @@ class TestIdReferenceDistances:
         y = np.array([1] * 5000)
         state = GrodState(n_id_classes=1, dim=2)
         initialize_state(state, f, y)
-        d_pca, *d_lda = id_reference_distances(f, y, state)
+        d_pca, *d_lda = id_reference_distances(f, y, state,
+                                               factor_snapshot(state))
         assert abs(d_pca - 2.0) <= 0.2
         assert abs(d_lda[0] - 2.0) <= 0.2
 
     def test_class_restriction(self):
         rng = np.random.default_rng(5)
         state, f, y = make_state(rng)
-        d_lda = id_reference_distances(f, y, state)
+        d_lda = id_reference_distances(f, y, state, factor_snapshot(state))
         # restricted mean must match a manual recomputation for class 1
         inv = regularized_inverse(state.cov[1])
         expected = np.mean([mahalanobis_sq(v, state.mu[1], inv)
@@ -370,9 +375,8 @@ class TestBuildOodCenters:
         rng = np.random.default_rng(6)
         state, _, _ = make_state(rng)
         state.mu[0] = np.zeros(2)
-        bset = BoundarySet(points=[np.array([2.0, 0.0])], indices=[0],
-                           source="PCA")
-        centers, provenance = build_ood_centers([(bset, 0)], state, a=0.1)
+        centers, provenance = build_ood_centers(
+            [(np.array([[2.0, 0.0]]), 0)], state, a=0.1)
         np.testing.assert_allclose(centers[0], [2.1, 0.0], atol=1e-6)
         assert provenance.tolist() == [0]
 
@@ -380,16 +384,13 @@ class TestBuildOodCenters:
         rng = np.random.default_rng(7)
         state, _, _ = make_state(rng)
         v = state.mu[0].copy()
-        bset = BoundarySet(points=[v], indices=[0], source="PCA")
-        centers, _ = build_ood_centers([(bset, 0)], state, a=0.1)
+        centers, _ = build_ood_centers([(v[None], 0)], state, a=0.1)
         np.testing.assert_allclose(centers[0], v, atol=1e-6)
 
     def test_extension_within_a(self):
         rng = np.random.default_rng(8)
         state, f, _ = make_state(rng)
-        bset = BoundarySet(points=[f[i] for i in range(5)],
-                           indices=list(range(5)), source="PCA")
-        for center in build_ood_centers([(bset, 0)], state, a=0.1)[0]:
+        for center in build_ood_centers([(f[:5], 0)], state, a=0.1)[0]:
             matched = min(np.linalg.norm(center - f[i]) for i in range(5))
             assert matched <= 0.1 + 1e-9
 
@@ -492,7 +493,8 @@ class TestFilterFakeOod:
         grng = np.random.default_rng(0)
         far = state.mu[1] + 1000.0
         kept = filter_fake_ood(np.vstack([state.mu[1], far]), state,
-                               0.1, 64, 2, grng, [1, 2])
+                               0.1, 64, 2, grng, [1, 2],
+                               factor_snapshot(state))
         assert len(kept) == 1
         np.testing.assert_allclose(kept[0], far)
 
@@ -502,7 +504,8 @@ class TestFilterFakeOod:
         rng = np.random.default_rng(16)
         state, _, _ = make_state(rng)
         kept = filter_fake_ood(state.mu[0][None] + 500.0, state, 0.1, 64, 2,
-                               np.random.default_rng(1), [1, 2])
+                               np.random.default_rng(1), [1, 2],
+                               factor_snapshot(state))
         assert len(kept) == 1
 
     def test_zero_margin_keeps_all_far_candidates(self):
@@ -510,7 +513,8 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng)
         cands = np.stack([state.mu[0] + 500.0, state.mu[0] - 500.0])
         kept = filter_fake_ood(cands, state, 0.0, 64, 2,
-                               np.random.default_rng(1), [1, 2])
+                               np.random.default_rng(1), [1, 2],
+                               factor_snapshot(state))
         assert len(kept) == 2
 
     def test_cap_applied(self):
@@ -518,7 +522,8 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng, k=2)
         cands = state.mu[0] + 500.0 + rng.standard_normal((100, 2))
         kept = filter_fake_ood(cands, state, 0.1, 32, 10,
-                               np.random.default_rng(2), [1, 2])
+                               np.random.default_rng(2), [1, 2],
+                               factor_snapshot(state))
         assert len(kept) <= 32 // 10 + 2   # = 5
 
     def test_all_filtered_raises(self):
@@ -534,7 +539,8 @@ class TestFilterFakeOod:
         cands = np.vstack([state.mu[1] + scale * unit] * 5)
         with pytest.raises(AllFiltered):
             filter_fake_ood(cands, state, 0.5, 64, 2,
-                            np.random.default_rng(3), [1, 2])
+                            np.random.default_rng(3), [1, 2],
+                            factor_snapshot(state))
 
     def test_retention_inequality_post_hoc(self):
         rng = np.random.default_rng(19)
@@ -542,7 +548,8 @@ class TestFilterFakeOod:
         cands = state.mu[0] + rng.standard_normal((50, 2)) * 20
         try:
             kept = filter_fake_ood(cands, state, 0.1, 64, 2,
-                                   np.random.default_rng(4), [1, 2])
+                                   np.random.default_rng(4), [1, 2],
+                                   factor_snapshot(state))
         except AllFiltered:
             return
         # recompute the margin over the full candidate set
@@ -568,12 +575,14 @@ class TestFilterFakeOod:
         subset = [] if seed % 4 == 0 else list(range(1, k + 1))
         cands = state.mu[0] + rng.standard_normal((80, dim)) * (4.0 * k)
         args = (cands, state, 0.1, 64, k)
+        snapshot = factor_snapshot(state)
         want = ref_filter_fake_ood(
             *args, np.random.Generator(np.random.Philox(seed)), subset)
         got = filter_fake_ood(
-            *args, np.random.Generator(np.random.Philox(seed)), subset)
+            *args, np.random.Generator(np.random.Philox(seed)), subset,
+            snapshot)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_allclose(soft_labels(got, state, k),
+        np.testing.assert_allclose(soft_labels(got, state, k, snapshot),
                                    ref_soft_labels(want, state, k),
                                    rtol=0, atol=1e-10)
 
@@ -583,23 +592,25 @@ class TestSoftLabels:
         rng = np.random.default_rng(20)
         state, _, _ = make_state(rng)
         pts = rng.standard_normal((10, 2)) * 10
-        labels = soft_labels(pts, state, 2)
+        labels = soft_labels(pts, state, 2, factor_snapshot(state))
         np.testing.assert_allclose(labels.sum(axis=1), 1.0, atol=1e-8)
         assert np.all(labels > 0)
 
     def test_far_point_concentrates_on_ood(self):
         rng = np.random.default_rng(21)
         state, _, _ = make_state(rng)
-        labels = soft_labels(np.array([state.mu[0] + 1e6]), state, 2)
+        labels = soft_labels(np.array([state.mu[0] + 1e6]), state, 2,
+                             factor_snapshot(state))
         assert np.argmax(labels[0]) == 2     # the K+1 slot for K=2
         assert labels[0, 2] >= 0.4
 
     def test_id_argmax_matches_nearest_class(self):
         rng = np.random.default_rng(22)
         state, _, _ = make_state(rng, k=3, dim=3)
+        snapshot = factor_snapshot(state)
         for _ in range(20):
             v = rng.standard_normal(3) * 8
-            labels = soft_labels(np.array([v]), state, 3)
+            labels = soft_labels(np.array([v]), state, 3, snapshot)
             per_class = {
                 c: state.dist[c] / max(
                     mahalanobis_sq(v, state.mu[c],
@@ -627,7 +638,7 @@ class TestSoftLabels:
                         / mahalanobis_sq(state.mu[1] + direction,
                                          state.mu[1], inv))
         v = state.mu[1] + scale * direction
-        labels = soft_labels(np.array([v]), state, 2)
+        labels = soft_labels(np.array([v]), state, 2, factor_snapshot(state))
         np.testing.assert_allclose(labels[0], 1.0 / 3.0, atol=1e-6)
 
 
