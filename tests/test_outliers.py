@@ -394,6 +394,28 @@ class TestBuildOodCenters:
             matched = min(np.linalg.norm(center - f[i]) for i in range(5))
             assert matched <= 0.1 + 1e-9
 
+    def test_lda_source_labeling(self):
+        # each class's rows, mined in the shared LDA basis, are extended
+        # from that class's center and keep the class as provenance
+        rng = np.random.default_rng(10)
+        state, f, y = make_state(rng)
+        basis = lda_fit(f, y, 1)
+        boundaries = [(f[mine_boundary(f, pca_fit(f, 2))], 0)]
+        for c in (1, 2):
+            rows = f[y == c]
+            boundaries.append((rows[mine_boundary(rows, basis)], c))
+        centers, provenance = build_ood_centers(boundaries, state, a=0.1)
+        assert provenance.tolist() == [key for rows, key in boundaries
+                                       for _ in rows]
+        points = np.vstack([rows for rows, _ in boundaries])
+        for center, point, key in zip(centers, points, provenance):
+            out = point - state.mu[key]
+            expected = point + 0.1 * out / (np.linalg.norm(out) + 1e-7)
+            np.testing.assert_allclose(center, expected, rtol=0, atol=1e-12)
+            if key:
+                assert np.all(y[np.flatnonzero(
+                    np.all(f == point, axis=1))] == key)
+
 
 class TestSampleFakeOod:
     def test_single_center_single_sample(self):

@@ -114,6 +114,17 @@ class TestLdaFit:
         axis = axis / np.linalg.norm(axis)
         assert abs(abs(axis[0]) - 1.0) <= 0.05
 
+    def test_all_bases_share_axes(self):
+        # one basis serves every class: p axes over all features, centered
+        # at the mean of all rows, not at any class mean
+        rng = np.random.default_rng(6)
+        f = rng.standard_normal((60, 3))
+        y = np.array([1, 2, 3] * 20)
+        basis = lda_fit(f, y, 2)
+        assert isinstance(basis, ProjectionBasis)
+        assert basis.axes.shape == (2, 3)
+        np.testing.assert_array_equal(basis.mean, f.mean(axis=0))
+
     def test_degenerate_single_class(self):
         with pytest.raises(DegenerateScatter):
             lda_fit(np.zeros((4, 2)), np.array([1, 1, 1, 1]), 1)
