@@ -448,17 +448,21 @@ def _scores(scorer, adjusted, raw_logits, features, calib, temperature):
     return post.vim_score(features, adjusted, calib)
 
 
+def _vim_calibration(model, train_batch, k):
+    """ViM's calibration on the train rows; their hidden features and
+    logits are freed on return, before the test and OOD forward passes."""
+    train_feats, train_logits = _model_outputs(model, train_batch.features)
+    return post.vim_calibrate(train_feats, post.adjust_logits(train_logits, k),
+                              post.default_d_prime(train_feats.shape[1]))
+
+
 def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                    scorer="vim", temperature=1.0):
     """Metrics plus a per-sample score report for the ID test and OOD sets."""
     k = n_id_classes
     calib = None
     if scorer == "vim":    # only ViM calibrates on the train rows
-        train_feats, train_logits = _model_outputs(model,
-                                                   train_batch.features)
-        calib = post.vim_calibrate(train_feats,
-                                   post.adjust_logits(train_logits, k),
-                                   post.default_d_prime(train_feats.shape[1]))
+        calib = _vim_calibration(model, train_batch, k)
     test_feats, test_logits = _model_outputs(model, test_batch.features)
     ood_feats, ood_logits = _model_outputs(model, ood_batch.features)
     test_adj = post.adjust_logits(test_logits, k)
@@ -524,7 +528,8 @@ def cmd_gen_data(config, seed, out_dir):
 
 def _load_dataset(out_dir):
     """(train, test, ood, K): test.csv and ood.csv must have train.csv's
-    dim and classes, and train.csv and test.csv ID labels only."""
+    dim and classes, train.csv and test.csv ID labels only, and ood.csv
+    the OOD label K+1 only."""
     paths = [os.path.join(out_dir, f"{n}.csv") for n in ("train", "test",
                                                           "ood")]
     files = [read_feature_file(path) for path in paths]
@@ -540,6 +545,10 @@ def _load_dataset(out_dir):
         if np.any(batch.labels > k):
             raise FormatError(f"{path}:{np.argmax(batch.labels > k) + 2}: "
                               f"OOD label {k + 1} in the {name}")
+    if np.any(ood.labels <= k):
+        row = np.argmax(ood.labels <= k)
+        raise FormatError(f"{paths[2]}:{row + 2}: ID label {ood.labels[row]} "
+                          f"in the OOD set")
     return train, test, ood, k
 
 
@@ -587,8 +596,9 @@ def _train(config, seed, out_dir, dataset):
 
 
 def _load_checkpoint(path, width, k):
-    """The model saved at path, checked against the feature files' width
-    and class count before any forward pass."""
+    """The model saved at path, checked before any forward pass against the
+    feature files' width and class count, and its parameters against the
+    names, shapes and dtype that `init_model` gives for its meta."""
     try:
         model = tfm.load_model(path)
     except OSError as exc:
@@ -601,6 +611,24 @@ def _load_checkpoint(path, width, k):
         if got != want:
             raise FormatError(f"{path}: {name} expected {want} from the "
                               f"feature files, found {got}")
+    shapes = tfm.param_shapes(model.d_hat0, model.tau, model.depth,
+                              model.budget, k)
+    for name, shape in shapes.items():
+        value = model.params.get(name)
+        if value is None:
+            fault = "missing"
+        elif value.shape != shape:
+            fault = f"shape {value.shape}, expected {shape}"
+        elif value.dtype != np.float64:
+            fault = f"dtype {value.dtype}, expected float64"
+        elif not np.isfinite(value).all():
+            fault = "not finite"
+        else:
+            continue
+        raise FormatError(f"{path}: parameter {name} {fault}")
+    unexpected = sorted(set(model.params) - set(shapes))
+    if unexpected:
+        raise FormatError(f"{path}: parameter {unexpected[0]} unexpected")
     return model
 
 

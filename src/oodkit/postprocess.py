@@ -60,11 +60,21 @@ def energy_score(logits, temperature=1.0):
         np.asarray(logits, dtype=float) / temperature)
 
 
+# rows per block of `_residuals`: its temporaries are 2 MB at s=64
+RESIDUAL_BLOCK_ROWS = 4096
+
+
 def _residuals(features, mean, basis):
-    centered = features - mean
-    if basis.shape[0]:
-        centered = centered - (centered @ basis.T) @ basis
-    return np.linalg.norm(centered, axis=1)
+    """Norm of each centered row minus its projection on the rows of basis,
+    over row blocks, so no temporary grows with the number of rows."""
+    out = np.empty(features.shape[0])
+    for start in range(0, features.shape[0], RESIDUAL_BLOCK_ROWS):
+        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
+        centered = features[rows] - mean
+        if basis.shape[0]:
+            centered -= (centered @ basis.T) @ basis
+        out[rows] = np.linalg.norm(centered, axis=1)
+    return out
 
 
 def vim_calibrate(train_features, train_logits, d_prime):

@@ -44,31 +44,34 @@ class TransformerModel:
     params: dict            # name -> ndarray
 
 
-def init_model(d_hat0, tau, depth, budget, n_id_classes, seed):
-    """Fresh model with uniform(-0.1, 0.1) weights and zero biases."""
-    rng = np.random.Generator(np.random.Philox(seed))
+def param_shapes(d_hat0, tau, depth, budget, n_id_classes):
+    """Name -> shape of every parameter, in `init_model`'s draw order."""
     d, hh, mh, mv, r = budget.d_hat, budget.h, budget.m_h, budget.m_V, budget.r
     c = n_id_classes + 1
-
-    def w(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    params = {"input.W": w(d, d_hat0), "input.b": np.zeros(d)}
+    shapes = {"input.W": (d, d_hat0), "input.b": (d,)}
     for i in range(depth):
-        params[f"blk{i}.WQ"] = w(hh, mh, d)
-        params[f"blk{i}.WK"] = w(hh, mh, d)
-        params[f"blk{i}.WV"] = w(hh, mv, d)
-        params[f"blk{i}.WO"] = w(hh, d, mv)
-        params[f"blk{i}.W1"] = w(r, d)
-        params[f"blk{i}.b1"] = np.zeros(r)
-        params[f"blk{i}.W2"] = w(d, r)
-        params[f"blk{i}.b2"] = np.zeros(d)
-    params["head.W3"] = w(c, d)
-    params["head.b3"] = np.zeros((c, tau))
-    params["head.W4"] = w(c, tau)
-    params["head.b4"] = np.zeros(c)
+        shapes.update({f"blk{i}.WQ": (hh, mh, d), f"blk{i}.WK": (hh, mh, d),
+                       f"blk{i}.WV": (hh, mv, d), f"blk{i}.WO": (hh, d, mv),
+                       f"blk{i}.W1": (r, d), f"blk{i}.b1": (r,),
+                       f"blk{i}.W2": (d, r), f"blk{i}.b2": (d,)})
+    shapes.update({"head.W3": (c, d), "head.b3": (c, tau),
+                   "head.W4": (c, tau), "head.b4": (c,)})
+    return shapes
+
+
+def init_model(d_hat0, tau, depth, budget, n_id_classes, seed):
+    """Fresh model with uniform(-0.1, 0.1) weights (`.W*`) and zero biases
+    (`.b*`)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    params = {}
+    for name, shape in param_shapes(d_hat0, tau, depth, budget,
+                                    n_id_classes).items():
+        weight = name.split(".")[1].startswith("W")
+        params[name] = (rng.uniform(-0.1, 0.1, size=shape) if weight
+                        else np.zeros(shape))
     return TransformerModel(d_hat0=d_hat0, tau=tau, depth=depth,
-                            budget=budget, n_classes=c, params=params)
+                            budget=budget, n_classes=n_id_classes + 1,
+                            params=params)
 
 
 def positional_encoding(d_hat0, tau):
@@ -92,7 +95,8 @@ def forward_trunk(model, x):
             f"expected (n, {model.d_hat0}, {model.tau}), got {x.shape}")
     p = model.params
     xpe = x if model.tau == 1 else x + positional_encoding(model.d_hat0, model.tau)
-    h = np.einsum("ab,nbt->nat", p["input.W"], xpe) + p["input.b"][None, :, None]
+    h = np.einsum("ab,nbt->nat", p["input.W"], xpe)
+    h += p["input.b"][None, :, None]    # in place: one full-size array
     layers = []
     for i in range(model.depth):
         wq, wk = p[f"blk{i}.WQ"], p[f"blk{i}.WK"]
@@ -117,7 +121,8 @@ def forward_trunk(model, x):
 def head_forward(model, hidden):
     """Classifier logits for a batch of hidden states (n, d_hat, tau)."""
     p = model.params
-    g = np.einsum("kd,ndt->nkt", p["head.W3"], hidden) + p["head.b3"][None]
+    g = np.einsum("kd,ndt->nkt", p["head.W3"], hidden)
+    g += p["head.b3"][None]
     logits = (p["head.W4"][None] * g).sum(axis=2) + p["head.b4"][None]
     return logits, g
 

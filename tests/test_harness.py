@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,6 +581,23 @@ class TestTrainEval:
         assert (tmp_path / "checkpoint.npz").read_bytes() == \
             path2.read_bytes()
 
+    def test_vim_eval_memory_is_bounded(self):
+        # ViM on a 20000x64 head-only model: beyond its inputs, eval holds
+        # the train hidden features, one centered copy and row blocks
+        rng = np.random.default_rng(0)
+        train, test, ood = (
+            FeatureBatch(rng.standard_normal((n, 64)), np.full(n, label))
+            for n, label in ((20000, 1), (10000, 2), (5000, 5)))
+        budget = tfm.Budget(d_hat=64, h=1, m_h=1, m_V=1, r=1)
+        model = tfm.init_model(64, 1, 0, budget, 4, seed=1)
+        tracemalloc.start()
+        try:
+            harness.evaluate_model(model, train, test, ood, 4, scorer="vim")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / train.features.nbytes <= 2.5    # 2.15 measured
+
     def test_eval_perfectly_separable(self):
         # a head-only identity model on far-apart clusters scores perfectly
         rng = np.random.default_rng(0)
@@ -895,11 +913,33 @@ class TestEvalCheckpoint:
         assert err == (f"error: FormatError: {path}: {name} expected {want} "
                        f"from the feature files, found {got}")
 
+    @pytest.mark.parametrize("name,value,fault", [
+        ("head.W3", None, "missing"),
+        ("head.W5", np.zeros(3), "unexpected"),
+        ("head.W3", np.zeros((3, 3)), "shape (3, 3), expected (3, 2)"),
+        ("head.W3", np.zeros((3, 2), np.float32),
+         "dtype float32, expected float64"),
+        ("head.W3", np.array([[0.1, 0.0], [np.nan, 0.2], [0.0, 0.3]]),
+         "not finite")])
+    def test_parameters_checked(self, tmp_path, capsys, name, value, fault):
+        # checked against init_model's parameters for the checkpoint's meta
+        path = tmp_path / "edited.npz"
+        budget = tfm.Budget(d_hat=2, h=1, m_h=1, m_V=1, r=1)
+        model = tfm.init_model(2, 1, 0, budget, 2, 0)
+        if value is None:
+            del model.params[name]
+        else:
+            model.params[name] = value
+        tfm.save_model(model, path)
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == f"error: FormatError: {path}: parameter {name} {fault}"
+
 
 class TestDatasetChecks:
-    """The three feature files must agree, train.csv must hold ID labels
-    only, and ViM needs enough train rows: each fails with one FormatError
-    line before any training or forward pass."""
+    """The three feature files must agree, train.csv and test.csv must hold
+    ID labels only and ood.csv the OOD label only, and ViM needs enough
+    train rows: each fails with one FormatError line before any training or
+    forward pass."""
 
     def cli_error(self, tmp_path, capsys, command, lines, edit=None):
         cfg_path = tmp_path / "run.cfg"
@@ -948,6 +988,18 @@ class TestDatasetChecks:
             ["n_train_per_class=20", "n_test_per_class=10", "n_ood=10"], edit)
         assert err == (f"error: FormatError: {out / name}.csv:7: OOD label "
                        f"3 in the {label}")
+
+    def test_ood_labels_are_ood_only(self, tmp_path, capsys):
+        def edit(out):
+            batch, k = read_feature_file(out / "ood.csv")
+            batch.labels[5] = 1
+            write_feature_file(out / "ood.csv", batch, k)
+
+        err, out = self.cli_error(
+            tmp_path, capsys, "eval",
+            ["n_train_per_class=20", "n_test_per_class=10", "n_ood=10"], edit)
+        assert err == (f"error: FormatError: {out / 'ood.csv'}:7: ID label 1 "
+                       f"in the OOD set")
 
     @pytest.mark.parametrize("command", ["ingest", "eval"])
     def test_vim_rows_checked_before_training(self, tmp_path, capsys,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodkit import postprocess as post
 from oodkit.postprocess import (DegenerateFeatures, adjust_logits,
                                 default_d_prime, energy_score, msp_score,
                                 score_report, vim_calibrate, vim_score)
@@ -210,6 +211,52 @@ class TestBatchedScorers:
         adjusted = np.random.default_rng(10).dirichlet(np.ones(4), size=50)
         np.testing.assert_array_equal(msp_score(adjusted),
                                       [max(row) for row in adjusted])
+
+
+def residuals_one_shot(features, mean, basis):
+    """The residual formula over all rows at once, which the blocked
+    `_residuals` replaced."""
+    centered = features - mean
+    return np.linalg.norm(centered - (centered @ basis.T) @ basis, axis=1)
+
+
+BLOCK = post.RESIDUAL_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("d_prime", [0, 3])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               3 * BLOCK + 17])
+class TestBlockedResiduals:
+    """Blocked products may differ from one-shot ones in the last bits."""
+
+    def test_residuals_match_one_shot(self, n, d_prime):
+        rng = np.random.default_rng(n + d_prime)
+        feats = 3.0 * rng.standard_normal((n, 8))
+        mean = rng.standard_normal(8)
+        basis = np.linalg.qr(rng.standard_normal((8, 8)))[0][:d_prime]
+        np.testing.assert_allclose(post._residuals(feats, mean, basis),
+                                   residuals_one_shot(feats, mean, basis),
+                                   rtol=1e-12)
+
+    def test_vim_matches_one_shot(self, n, d_prime):
+        # calibration needs d'+2 rows for a nonzero residual
+        rng = np.random.default_rng(n + d_prime)
+        n_cal = max(n, d_prime + 2)
+        train = rng.standard_normal((n_cal, 8))
+        train_logits = np.abs(rng.standard_normal((n_cal, 3)))
+        calib = vim_calibrate(train, train_logits, d_prime)
+        basis, mean = calib.principal_basis, calib.feature_mean
+        assert basis.shape == (d_prime, 8)
+        alpha = (np.sum(np.max(train_logits, axis=1))
+                 / np.sum(residuals_one_shot(train, mean, basis)))
+        assert calib.alpha == pytest.approx(alpha, rel=1e-12)
+
+        feats = 3.0 * rng.standard_normal((n, 8))
+        adjusted = adjust_logits(rng.standard_normal((n, 4)), 3)
+        lse = np.log(np.sum(np.exp(adjusted), axis=1))
+        res = calib.alpha * residuals_one_shot(feats, mean, basis)
+        got = vim_score(feats, adjusted, calib)
+        assert np.all(np.abs(got - (lse - res)) <= 1e-12 * (lse + res))
 
 
 class TestScoreReport:
