@@ -37,6 +37,10 @@ class IoError(Exception):
     pass
 
 
+class TrainingDiverged(Exception):
+    """A batch's hidden features or loss, or a parameter, is not finite."""
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -342,7 +346,10 @@ def train_model(config, seed, train_batch, n_id_classes,
     and with `identity_input` a frozen identity input map.
 
     Returns (model, grod_state, log).  The best epoch's parameters (by the
-    held-out criterion) are restored before returning.
+    held-out criterion) are restored before returning.  Raises
+    TrainingDiverged, naming the epoch and batch (both counted from 0 as
+    in the log), at the first batch whose hidden features or loss are not
+    finite, and at the end of an epoch whose parameters are not.
     """
     k = n_id_classes
     tau = 1
@@ -385,6 +392,9 @@ def train_model(config, seed, train_batch, n_id_classes,
             xb, yb = fit_x[idx], fit_y[idx]
             hidden, cache = tfm.forward_trunk(model, xb)
             feats = hidden.reshape(idx.size, -1)
+            if not np.isfinite(feats).all():
+                raise TrainingDiverged(f"epoch {epoch}, batch {n_batches}: "
+                                       f"hidden features not finite")
             if config.grod_enabled:
                 f_all, labels_all, info = grod_augment_batch(
                     feats, yb, grod_state, config.grod, grod_rng)
@@ -396,6 +406,9 @@ def train_model(config, seed, train_batch, n_id_classes,
             gamma_eff = 0.0 if info["warmup"] else config.gamma
             l1, l2, _, dlogits = loss_mod.batch_loss_and_grad(
                 labels_all, logits, gamma_eff)
+            if not (math.isfinite(l1) and math.isfinite(l2)):
+                raise TrainingDiverged(f"epoch {epoch}, batch {n_batches}: "
+                                       f"loss not finite")
             head_grads, dhidden = tfm.head_backward(model, hidden_all, g,
                                                     dlogits)
             grads = tfm.trunk_backward(model, cache, dhidden[:idx.size])
@@ -414,6 +427,10 @@ def train_model(config, seed, train_batch, n_id_classes,
             if info["fallback"]:
                 ep_fallbacks[info["fallback"]] += 1
             n_batches += 1
+        for name, value in model.params.items():
+            if not np.isfinite(value).all():
+                raise TrainingDiverged(f"epoch {epoch}: parameter {name} "
+                                       f"not finite")
         quality = _val_quality(model, val_x, val_y, grod_state, config.grod,
                                seed * 7 + 100 + epoch, k)
         if quality > best_quality:
@@ -432,11 +449,23 @@ def train_model(config, seed, train_batch, n_id_classes,
 # ---------------------------------------------------------------------------
 # evaluation
 
+# rows per block of every eval-time forward pass: 0.5 MB per block at s=64
+EVAL_BLOCK_ROWS = 1024
+
+
 def _model_outputs(model, features):
     x = _as_inputs(features, model.d_hat0, model.tau)
     hidden, _ = tfm.forward_trunk(model, x)
     logits, _ = tfm.head_forward(model, hidden)
     return hidden.reshape(x.shape[0], -1), logits
+
+
+def _forward_blocks(model, features):
+    """(hidden, logits) of each EVAL_BLOCK_ROWS-row block of features, in
+    row order.  A row's outputs do not depend on the rows beside it, so
+    the blocks equal the one-shot forward pass bit for bit."""
+    for start in range(0, features.shape[0], EVAL_BLOCK_ROWS):
+        yield _model_outputs(model, features[start:start + EVAL_BLOCK_ROWS])
 
 
 def _scores(scorer, adjusted, raw_logits, features, calib, temperature):
@@ -449,29 +478,39 @@ def _scores(scorer, adjusted, raw_logits, features, calib, temperature):
 
 
 def _vim_calibration(model, train_batch, k):
-    """ViM's calibration on the train rows; their hidden features and
-    logits are freed on return, before the test and OOD forward passes."""
-    train_feats, train_logits = _model_outputs(model, train_batch.features)
-    return post.vim_calibrate(train_feats, post.adjust_logits(train_logits, k),
-                              post.default_d_prime(train_feats.shape[1]))
+    """ViM's calibration on the train rows, which go through the model
+    once per calibration pass, a block at a time."""
+    def blocks():
+        for hidden, logits in _forward_blocks(model, train_batch.features):
+            yield hidden, post.adjust_logits(logits, k)
+
+    return post.vim_calibrate(
+        blocks, post.default_d_prime(model.budget.d_hat * model.tau))
+
+
+def _score_set(model, batch, k, scorer, calib, temperature):
+    """(adjusted logits, scores) of one set, scored a block at a time."""
+    adjusted, scores = [], []
+    for hidden, logits in _forward_blocks(model, batch.features):
+        adjusted.append(post.adjust_logits(logits, k))
+        scores.append(_scores(scorer, adjusted[-1], logits, hidden, calib,
+                              temperature))
+    return np.vstack(adjusted), np.concatenate(scores)
 
 
 def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                    scorer="vim", temperature=1.0):
-    """Metrics plus a per-sample score report for the ID test and OOD sets."""
+    """Metrics plus a per-sample score report for the ID test and OOD sets.
+    Beyond its inputs it holds the (n, K) adjusted logits, the (n,) scores
+    and one forward block."""
     k = n_id_classes
     calib = None
     if scorer == "vim":    # only ViM calibrates on the train rows
         calib = _vim_calibration(model, train_batch, k)
-    test_feats, test_logits = _model_outputs(model, test_batch.features)
-    ood_feats, ood_logits = _model_outputs(model, ood_batch.features)
-    test_adj = post.adjust_logits(test_logits, k)
-    ood_adj = post.adjust_logits(ood_logits, k)
-
-    id_scores = _scores(scorer, test_adj, test_logits, test_feats, calib,
-                        temperature)
-    ood_scores = _scores(scorer, ood_adj, ood_logits, ood_feats, calib,
-                         temperature)
+    test_adj, id_scores = _score_set(model, test_batch, k, scorer, calib,
+                                     temperature)
+    ood_adj, ood_scores = _score_set(model, ood_batch, k, scorer, calib,
+                                     temperature)
 
     report = post.score_report(np.concatenate([id_scores, ood_scores]),
                                np.vstack([test_adj, ood_adj]), id_scores)
@@ -488,10 +527,12 @@ def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
 # commands
 
 def _write_json(path, payload):
+    """Strict JSON: a non-finite number raises ValueError before the file
+    is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -697,7 +738,8 @@ def cmd_sweep_capacity(config, seed, out_dir):
 
 def _sweep_row(label, depth, run_seed, model, train, test, ood):
     k = 2
-    logits = {name: _model_outputs(model, batch.features)[1]
+    logits = {name: np.vstack([block[1] for block
+                               in _forward_blocks(model, batch.features)])
               for name, batch in (("train", train), ("test", test),
                                   ("ood", ood))}
     preds = {name: np.argmax(v, axis=1) + 1 for name, v in logits.items()}

@@ -95,7 +95,8 @@ def save_grod_state(state, path):
 
 
 def load_grod_state(path):
-    """Inverse of save_grod_state; the pool comes back as one batch."""
+    """Inverse of save_grod_state; the pool comes back as one batch, so
+    it counts as one of the warmup_batches that initialization waits for."""
     with np.load(path) as data:
         if "meta" not in data.files:
             return None
@@ -186,13 +187,22 @@ def update_centers(state, f, y, subset, gamma_opt):
 
 def initialize_state(state, f, y):
     """Seed the statistics from a pooled warmup feature set: empty stacks,
-    then one update over the pool's classes."""
+    then one update over the pool's classes.  The pool is emptied either
+    way.  On NotPositiveDefinite (at a large enough feature scale the
+    EPS0 ridge rounds away) the statistics are dropped before it is
+    re-raised, so the state is uninitialized and warmup starts over."""
     k1, d = state.n_id_classes + 1, state.dim
     state.mu, state.cov = np.zeros((k1, d)), np.zeros((k1, d, d))
     state.dist, state.tracked = np.zeros(k1), np.zeros(k1, dtype=bool)
     y = np.asarray(y)
-    update_centers(state, np.asarray(f, dtype=float), y, np.unique(y), 1.0)
-    state.pool_f, state.pool_y = [], []
+    try:
+        update_centers(state, np.asarray(f, dtype=float), y, np.unique(y),
+                       1.0)
+    except NotPositiveDefinite:
+        state.mu = state.cov = state.dist = state.tracked = None
+        raise
+    finally:
+        state.pool_f, state.pool_y = [], []
     return state
 
 
@@ -286,10 +296,13 @@ def grod_augment_batch(f, y, state, config, rng):
     """Full per-batch pipeline; returns (f_all, labels_all, info).
 
     During warmup the batch passes through unchanged (one-hot labels) while
-    statistics accumulate.  Degraded batches name their FALLBACK_REASONS
-    entry in info["fallback"]: "not_pd" and "all_filtered" give ID-only
-    output, "degenerate_scatter" mines PCA boundaries only (a later
-    "all_filtered" overwrites it).  A too-small batch is ID-only.
+    it joins the pool; once the pool holds warmup_batches batches it seeds
+    the statistics.  Degraded batches name their FALLBACK_REASONS entry in
+    info["fallback"]: "not_pd" and "all_filtered" give ID-only output,
+    "degenerate_scatter" mines PCA boundaries only (a later "all_filtered"
+    overwrites it).  A "not_pd" at the end of warmup leaves the state
+    uninitialized with an empty pool, so warmup starts over.  A too-small
+    batch is ID-only.
     """
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -301,11 +314,14 @@ def grod_augment_batch(f, y, state, config, rng):
         state.pool_f.append(f.copy())
         state.pool_y.append(y.copy())
         state.batch_index += 1
-        if state.batch_index >= config.warmup_batches:
-            initialize_state(state, np.vstack(state.pool_f),
-                             np.concatenate(state.pool_y))
-        return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
-                              "fallback": None}
+        info = {"warmup": True, "n_fake": 0, "kappa": 0, "fallback": None}
+        if len(state.pool_f) >= config.warmup_batches:
+            try:
+                initialize_state(state, np.vstack(state.pool_f),
+                                 np.concatenate(state.pool_y))
+            except NotPositiveDefinite:
+                info["fallback"] = "not_pd"
+        return f, id_labels, info
 
     state.batch_index += 1
     counts = {int(c): int(n) for c, n in zip(*np.unique(y, return_counts=True))}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import pick_threshold
-from .numerics import sample_covariance, softmax
+from .numerics import softmax
 
 
 class DegenerateFeatures(Exception):
@@ -60,48 +60,64 @@ def energy_score(logits, temperature=1.0):
         np.asarray(logits, dtype=float) / temperature)
 
 
-# rows per block of `_residuals`: its temporaries are 2 MB at s=64
-RESIDUAL_BLOCK_ROWS = 4096
-
-
 def _residuals(features, mean, basis):
-    """Norm of each centered row minus its projection on the rows of basis,
-    over row blocks, so no temporary grows with the number of rows."""
-    out = np.empty(features.shape[0])
-    for start in range(0, features.shape[0], RESIDUAL_BLOCK_ROWS):
-        rows = slice(start, start + RESIDUAL_BLOCK_ROWS)
-        centered = features[rows] - mean
-        if basis.shape[0]:
-            centered -= (centered @ basis.T) @ basis
-        out[rows] = np.linalg.norm(centered, axis=1)
-    return out
+    """Norm of each centered row minus its projection on the rows of basis;
+    its temporaries are the size of `features`, so callers pass row
+    blocks."""
+    centered = features - mean
+    if basis.shape[0]:
+        centered -= (centered @ basis.T) @ basis
+    return np.linalg.norm(centered, axis=1)
 
 
-def vim_calibrate(train_features, train_logits, d_prime):
-    """Principal-subspace calibration over ID features.
+def vim_calibrate(blocks, d_prime):
+    """Principal-subspace calibration over ID features, streamed.
 
-    alpha = (sum of per-row max logits) / (sum of residual norms) over the
-    calibration set, with residual = distance from the centered feature to
-    its projection on the top-d' principal subspace.
+    `blocks` is a zero-argument callable that returns a fresh iterator of
+    (features, adjusted_logits) row blocks; it is called once per pass, so
+    memory is one block plus (s, s) whatever the number of rows:
+      1. row count, feature sum and the sum of per-row max logits;
+      2. the (n-1) sample covariance as the sum over blocks of
+         (block - mean)^T (block - mean), for the top-d' principal basis;
+      3. the sum and the maximum of the residual norms, where a residual
+         is the distance from the centered feature to its projection on
+         the basis.
+    alpha = (sum of max logits) / (sum of residual norms).
     """
-    train_features = np.asarray(train_features, dtype=float)
-    train_logits = np.asarray(train_logits, dtype=float)
-    n, s = train_features.shape
+    n, feature_sum, logit_sum = 0, 0.0, 0.0
+    for feats, logits in blocks():
+        n += feats.shape[0]
+        feature_sum = feature_sum + feats.sum(axis=0)
+        logit_sum += float(np.sum(np.max(logits, axis=1)))
     if n < d_prime + 1:
         raise ValueError(f"need at least d'+1={d_prime + 1} samples, got {n}")
-    mean = train_features.mean(axis=0)
+    mean = feature_sum / n
+    s = mean.shape[0]
+    basis = np.zeros((0, s))
     if d_prime > 0:
-        cov = sample_covariance(train_features)
-        vals, vecs = np.linalg.eigh(cov)
+        vals, vecs = np.linalg.eigh(_blocked_covariance(blocks, mean, n))
         basis = vecs[:, np.argsort(vals)[::-1][:d_prime]].T
-    else:
-        basis = np.zeros((0, s))
-    res = _residuals(train_features, mean, basis)
-    if np.all(res < 1e-12):
+    res_sum, res_max = 0.0, 0.0
+    for feats, _ in blocks():
+        res = _residuals(feats, mean, basis)
+        res_sum += float(np.sum(res))
+        res_max = np.max(res, initial=res_max)
+    if res_max < 1e-12:
         raise DegenerateFeatures(
             "all calibration residuals are zero; reduce d_prime")
-    alpha = float(np.sum(np.max(train_logits, axis=1)) / np.sum(res))
-    return VimCalibration(principal_basis=basis, feature_mean=mean, alpha=alpha)
+    return VimCalibration(principal_basis=basis, feature_mean=mean,
+                          alpha=logit_sum / res_sum)
+
+
+def _blocked_covariance(blocks, mean, n):
+    """Unbiased (n-1) covariance of the rows of `blocks()` about `mean`,
+    summed block by block, symmetrized like `sample_covariance`."""
+    cov = np.zeros((mean.shape[0], mean.shape[0]))
+    for feats, _ in blocks():
+        centered = feats - mean
+        cov += centered.T @ centered
+    cov /= n - 1
+    return 0.5 * (cov + cov.T)
 
 
 def vim_score(features, adjusted_logits, calib):

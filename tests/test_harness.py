@@ -21,6 +21,8 @@ from oodkit import postprocess as post
 from oodkit import transformer as tfm
 from oodkit.harness import (ExperimentConfig, FormatError, IoError,
                             read_feature_file, write_feature_file)
+from oodkit import outliers
+from oodkit.numerics import NotPositiveDefinite
 from oodkit.outliers import load_grod_state, save_grod_state
 from oodkit.synthdata import FeatureBatch, gen_mixture_2d
 
@@ -582,21 +584,48 @@ class TestTrainEval:
             path2.read_bytes()
 
     def test_vim_eval_memory_is_bounded(self):
-        # ViM on a 20000x64 head-only model: beyond its inputs, eval holds
-        # the train hidden features, one centered copy and row blocks
+        # ViM and MSP on a 20000x64 head-only model: beyond its inputs,
+        # eval holds the (n, K) adjusted logits, the (n,) scores and one
+        # forward block, nothing that grows with the train rows
         rng = np.random.default_rng(0)
         train, test, ood = (
             FeatureBatch(rng.standard_normal((n, 64)), np.full(n, label))
             for n, label in ((20000, 1), (10000, 2), (5000, 5)))
         budget = tfm.Budget(d_hat=64, h=1, m_h=1, m_V=1, r=1)
         model = tfm.init_model(64, 1, 0, budget, 4, seed=1)
-        tracemalloc.start()
-        try:
-            harness.evaluate_model(model, train, test, ood, 4, scorer="vim")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / train.features.nbytes <= 2.5    # 2.15 measured
+        for scorer in ("vim", "msp"):
+            tracemalloc.start()
+            try:
+                harness.evaluate_model(model, train, test, ood, 4,
+                                       scorer=scorer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # 0.27 (vim) and 0.24 (msp) measured
+            assert peak / train.features.nbytes <= 0.5, scorer
+
+    @pytest.mark.parametrize("scorer", ["msp", "energy"])
+    def test_blocked_scores_equal_one_shot(self, scorer):
+        # 3 full blocks and a 17-row one through a depth-2 trunk
+        n = 3 * harness.EVAL_BLOCK_ROWS + 17
+        rng = np.random.default_rng(12)
+        test = FeatureBatch(rng.standard_normal((n, 2)),
+                            rng.integers(1, 3, size=n))
+        ood = FeatureBatch(3.0 + rng.standard_normal((n, 2)), np.full(n, 3))
+        model = tfm.init_model(2, 1, 2, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
+        _, report = harness.evaluate_model(model, None, test, ood, 2,
+                                           scorer=scorer, temperature=0.7)
+        want_adj, want_scores = [], []
+        for batch in (test, ood):
+            _, logits = harness._model_outputs(model, batch.features)
+            adjusted = post.adjust_logits(logits, 2)
+            want_adj.append(adjusted)
+            want_scores.append(post.msp_score(adjusted) if scorer == "msp"
+                               else post.energy_score(logits[:, :2], 0.7))
+        np.testing.assert_array_equal(report.adjusted_logits,
+                                      np.vstack(want_adj))
+        np.testing.assert_array_equal(report.scores,
+                                      np.concatenate(want_scores))
 
     def test_eval_perfectly_separable(self):
         # a head-only identity model on far-apart clusters scores perfectly
@@ -627,12 +656,16 @@ class TestTrainEval:
     def test_train_rows_forwarded_only_for_vim(self, monkeypatch, scorer,
                                                forwarded):
         train, test, ood, _ = gen_mixture_2d(79, 100, 50, 80)
-        names = {id(b.features): n for n, b in
-                 (("train", train), ("test", test), ("ood", ood))}
+        sets = (("train", train), ("test", test), ("ood", ood))
         real, seen = harness._model_outputs, []
 
         def counting(model, features):
-            seen.append(names[id(features)])
+            # a block is a view of its set's rows; ViM's calibration
+            # passes over the train rows count as one visit
+            name, = (n for n, b in sets
+                     if np.shares_memory(features, b.features))
+            if not seen or seen[-1] != name:
+                seen.append(name)
             return real(model, features)
 
         monkeypatch.setattr(harness, "_model_outputs", counting)
@@ -676,6 +709,51 @@ class TestTrainEval:
             {"all_filtered": 0, "degenerate_scatter": 0, "not_pd": 1},
             {"all_filtered": 0, "degenerate_scatter": 0, "not_pd": 6}]
         assert all(e["fake_ood_retained"] == 0 for e in log)
+
+    def test_not_pd_at_end_of_warmup_restarts_warmup(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # every factorization fails, so no warmup pool ever seeds the state
+        def not_pd(state):
+            raise NotPositiveDefinite("poisoned")
+
+        monkeypatch.setattr(outliers, "factor_snapshot", not_pd)
+        cfg = small_config(grod_enabled="true", gamma=0.1)
+        harness.cmd_gen_data(cfg, 79, str(tmp_path))
+        capsys.readouterr()
+        harness.cmd_train(cfg, 79, str(tmp_path))
+        log = json.loads((tmp_path / "train_log.json").read_text())
+        assert log["grod"] == {"enabled": True, "initialized": False}
+        # 6 batches per epoch: attempts after batches 5 and 10
+        assert [e["grod_fallbacks"]["not_pd"] for e in log["epochs"]] == [1, 1]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: outlier generation never initialized "
+            "(warmup_batches=5, training batches=12)"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf logits
+    @pytest.mark.parametrize("poisoned_step,message", [
+        (3, r"^epoch 0, batch 3: loss not finite$"),
+        (6, r"^epoch 0: parameter head\.b4 not finite$")])
+    def test_divergence_names_epoch_and_batch(self, monkeypatch,
+                                              poisoned_step, message):
+        # 180 fit rows in batches of 32: steps 1-6 are epoch 0's batches
+        real, steps = tfm.adamw_step, []
+
+        def poisoning(model, grads, state, **kwargs):
+            real(model, grads, state, **kwargs)
+            steps.append(None)
+            if len(steps) == poisoned_step:
+                model.params["head.b4"][0] = np.inf
+
+        monkeypatch.setattr(tfm, "adamw_step", poisoning)
+        cfg = small_config(grod_enabled="false", gamma=0.0)
+        train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
+        with pytest.raises(harness.TrainingDiverged, match=message):
+            harness.train_model(cfg, 79, train, 2)
+
+    def test_write_json_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            harness._write_json(tmp_path / "x.json", {"loss": math.nan})
+        assert not (tmp_path / "x.json").exists()
 
     def test_warmup_never_finishing_is_reported(self, tmp_path):
         cfg = small_config(grod_enabled="true", gamma=0.1,
@@ -801,6 +879,46 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ")
+
+    def run_train(self, tmp_path, capsys, seed, lines):
+        """(exit code, error lines) of gen-data then train on a small
+        2-d mixture with the given config lines."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{x}\n" for x in [
+            "n_train_per_class=100", "n_test_per_class=50", "n_ood=80",
+            "batch_size=32", "epochs=3"] + lines))
+        args = ["--config", str(cfg), "--seed", str(seed),
+                "--out", str(tmp_path)]
+        assert cli.main(["gen-data"] + args) == 0
+        capsys.readouterr()
+        rc = cli.main(["train"] + args)
+        return rc, [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("error: ")]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # overflow
+    def test_diverged_run_fails_without_checkpoint(self, tmp_path, capsys):
+        rc, errors = self.run_train(tmp_path, capsys, 79, [
+            "optimizer=sgd", "lr=10", "grod_enabled=false"])
+        assert rc == 1 and errors == [
+            "error: TrainingDiverged: epoch 1, batch 2: hidden features "
+            "not finite"]
+        assert not (tmp_path / "checkpoint.npz").exists()
+        assert not (tmp_path / "train_log.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # overflow
+    def test_huge_warmup_pool_does_not_stop_training(self, tmp_path, capsys):
+        # lr=100 grows the warmup pool until the covariance ridge rounds
+        # away; the failed initialization is a not_pd fallback
+        rc, errors = self.run_train(tmp_path, capsys, 1, ["lr=100"])
+        assert rc == 0 and errors == []
+
+        def reject(token):
+            raise ValueError(f"non-finite {token} in train_log.json")
+
+        log = json.loads((tmp_path / "train_log.json").read_text(),
+                         parse_constant=reject)
+        assert log["epochs"][0]["grod_fallbacks"]["not_pd"] >= 1
+        assert log["grod"] == {"enabled": True, "initialized": True}
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

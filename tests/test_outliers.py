@@ -735,6 +735,40 @@ class TestAugmentBatch:
         np.testing.assert_array_equal(f_all, f)
         np.testing.assert_array_equal(labels, one_hot(y, 2))
 
+    def test_not_pd_pool_restarts_warmup(self):
+        # a finite pool whose global covariance is exactly singular at a
+        # scale where the EPS0 ridge rounds away: t = 2^250 swamps the
+        # N(0,1) rows, so every entry is 2 t^2 / (9 - 1) = 2^498, whose
+        # Cholesky pivot sqrt(2^498) = 2^249 leaves exactly 0
+        rng = np.random.default_rng(30)
+        t = 2.0 ** 250
+        poisoned = np.vstack([[t, t], [-t, -t], rng.standard_normal((2, 2))])
+        config = self.cfg(warmup_batches=2)
+        state = GrodState(n_id_classes=2, dim=2)
+        grng = np.random.default_rng(0)
+
+        def batch(f):
+            y = np.array([1, 2] * (len(f) // 2) + [1] * (len(f) % 2))
+            return grod_augment_batch(f, y, state, config, grng)
+
+        assert batch(rng.standard_normal((5, 2)))[2]["fallback"] is None
+        f_all, labels, info = batch(poisoned)
+        assert info == {"warmup": True, "n_fake": 0, "kappa": 0,
+                        "fallback": "not_pd"}
+        np.testing.assert_array_equal(f_all, poisoned)
+        np.testing.assert_array_equal(labels, one_hot([1, 2, 1, 2], 2))
+        assert not state.initialized and state.pool_f == []
+        assert state.cov is None and state.tracked is None
+        # warmup starts over: the next warmup_batches batches pool again
+        clean = [rng.standard_normal((6, 2)) for _ in range(2)]
+        assert batch(clean[0])[2] == {"warmup": True, "n_fake": 0,
+                                      "kappa": 0, "fallback": None}
+        assert not state.initialized
+        batch(clean[1])
+        assert state.initialized and state.batch_index == 4
+        np.testing.assert_array_equal(state.mu[0],
+                                      np.vstack(clean).mean(axis=0))
+
     def test_state_round_trip(self, tmp_path):
         _, state = self.run_post_warmup(seed=28)
         save_grod_state(state, tmp_path / "state.npz")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodkit import harness
 from oodkit import postprocess as post
+from oodkit.numerics import sample_covariance
 from oodkit.postprocess import (DegenerateFeatures, adjust_logits,
                                 default_d_prime, energy_score, msp_score,
                                 score_report, vim_calibrate, vim_score)
@@ -82,19 +84,31 @@ class TestEnergyScore:
             energy_score(np.array([0.0])[None], 0.0)
 
 
+BLOCK = harness.EVAL_BLOCK_ROWS
+
+
+def blocks_of(features, logits):
+    """The block source `vim_calibrate` takes, over in-memory arrays: each
+    call returns a fresh iterator over consecutive BLOCK-row blocks, as
+    `evaluate_model` feeds it from the model."""
+    return lambda: ((features[i:i + BLOCK], logits[i:i + BLOCK])
+                    for i in range(0, len(features), BLOCK))
+
+
 class TestVim:
     def test_subspace_confined_features_degenerate(self):
         rng = np.random.default_rng(4)
         coords = rng.standard_normal((20, 1))
         feats = np.hstack([coords, 2.0 * coords])  # rank-1 in 2-d
         with pytest.raises(DegenerateFeatures):
-            vim_calibrate(feats, rng.standard_normal((20, 3)), 1)
+            vim_calibrate(
+                blocks_of(feats, rng.standard_normal((20, 3))), 1)
 
     def test_zero_dim_basis_residual_is_distance_to_mean(self):
         rng = np.random.default_rng(5)
         feats = rng.standard_normal((30, 3))
         logits = np.abs(rng.standard_normal((30, 2)))
-        calib = vim_calibrate(feats, logits, 0)
+        calib = vim_calibrate(blocks_of(feats, logits), 0)
         x = feats[0]
         expected_res = np.linalg.norm(x - feats.mean(axis=0))
         adjusted = np.array([0.6, 0.4])
@@ -108,7 +122,7 @@ class TestVim:
         feats = rng.standard_normal((50, 4))
         logits = rng.standard_normal((50, 3))
         d_prime = 2
-        calib = vim_calibrate(feats, logits, d_prime)
+        calib = vim_calibrate(blocks_of(feats, logits), d_prime)
         mean = feats.mean(axis=0)
         centered = feats - mean
         cov = centered.T @ centered / (len(feats) - 1)
@@ -122,7 +136,8 @@ class TestVim:
     def test_zero_residual_pure_logsumexp(self):
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((30, 2))
-        calib = vim_calibrate(feats, np.abs(rng.standard_normal((30, 2))), 1)
+        calib = vim_calibrate(
+            blocks_of(feats, np.abs(rng.standard_normal((30, 2)))), 1)
         adjusted = np.array([0.7, 0.3])
         got = vim_score(calib.feature_mean[None], adjusted[None], calib)[0]
         assert got == pytest.approx(np.log(np.sum(np.exp(adjusted))),
@@ -131,7 +146,8 @@ class TestVim:
     def test_score_decreasing_in_residual(self):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((40, 2))
-        calib = vim_calibrate(feats, np.abs(rng.standard_normal((40, 2))), 0)
+        calib = vim_calibrate(
+            blocks_of(feats, np.abs(rng.standard_normal((40, 2)))), 0)
         adjusted = np.array([0.5, 0.5])
         direction = np.array([1.0, 0.0])
         scores = [vim_score((calib.feature_mean + r * direction)[None],
@@ -142,7 +158,7 @@ class TestVim:
         feats = np.array([[1.0, 0.1], [-1.0, -0.1],
                           [2.0, -0.1], [-2.0, 0.1]])
         logits = np.full((4, 2), 1.0)
-        calib = vim_calibrate(feats, logits, 1)
+        calib = vim_calibrate(blocks_of(feats, logits), 1)
         # dominant variance lies on the x axis
         assert abs(abs(calib.principal_basis[0, 0]) - 1.0) <= 0.01
         # residual of a probe point, recomputed by hand from the basis
@@ -197,9 +213,10 @@ class TestBatchedScorers:
     @settings(max_examples=30, deadline=None)
     def test_vim_matches_per_row(self, seed, n, s, k):
         rng = np.random.default_rng(seed)
-        calib = vim_calibrate(rng.standard_normal((2 * s + 2, s)),
-                              np.abs(rng.standard_normal((2 * s + 2, k))),
-                              default_d_prime(s))
+        calib = vim_calibrate(
+            blocks_of(rng.standard_normal((2 * s + 2, s)),
+                      np.abs(rng.standard_normal((2 * s + 2, k)))),
+            default_d_prime(s))
         feats = 3.0 * rng.standard_normal((n, s))
         adjusted = adjust_logits(rng.standard_normal((n, k + 1)), k)
         got = vim_score(feats, adjusted, calib)
@@ -214,20 +231,16 @@ class TestBatchedScorers:
 
 
 def residuals_one_shot(features, mean, basis):
-    """The residual formula over all rows at once, which the blocked
-    `_residuals` replaced."""
+    """The residual formula over all rows at once, written out."""
     centered = features - mean
     return np.linalg.norm(centered - (centered @ basis.T) @ basis, axis=1)
-
-
-BLOCK = post.RESIDUAL_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("d_prime", [0, 3])
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                3 * BLOCK + 17])
 class TestBlockedResiduals:
-    """Blocked products may differ from one-shot ones in the last bits."""
+    """Blocked sums may differ from one-shot ones in the last bits."""
 
     def test_residuals_match_one_shot(self, n, d_prime):
         rng = np.random.default_rng(n + d_prime)
@@ -238,13 +251,37 @@ class TestBlockedResiduals:
                                    residuals_one_shot(feats, mean, basis),
                                    rtol=1e-12)
 
+    def test_calibration_matches_one_shot(self, n, d_prime):
+        # the three blocked passes against numpy's one-shot mean,
+        # sample_covariance, eigh and residuals; off-center features make
+        # the centering matter
+        rng = np.random.default_rng(n + d_prime)
+        n_cal = max(n, d_prime + 2)
+        train = 5.0 + 3.0 * rng.standard_normal((n_cal, 8))
+        train_logits = np.abs(rng.standard_normal((n_cal, 3)))
+        blocks = blocks_of(train, train_logits)
+        calib = vim_calibrate(blocks, d_prime)
+        mean = train.mean(axis=0)
+        np.testing.assert_allclose(calib.feature_mean, mean, rtol=1e-12)
+        cov = sample_covariance(train)
+        got = post._blocked_covariance(blocks, calib.feature_mean, n_cal)
+        assert np.max(np.abs(got - cov)) <= 1e-12 * np.max(np.abs(cov))
+        vals, vecs = np.linalg.eigh(cov)
+        basis = vecs[:, np.argsort(vals)[::-1][:d_prime]].T
+        got_basis = calib.principal_basis
+        np.testing.assert_allclose(got_basis.T @ got_basis, basis.T @ basis,
+                                   atol=1e-10)
+        alpha = (np.sum(np.max(train_logits, axis=1))
+                 / np.sum(residuals_one_shot(train, mean, basis)))
+        assert calib.alpha == pytest.approx(alpha, rel=1e-12)
+
     def test_vim_matches_one_shot(self, n, d_prime):
         # calibration needs d'+2 rows for a nonzero residual
         rng = np.random.default_rng(n + d_prime)
         n_cal = max(n, d_prime + 2)
         train = rng.standard_normal((n_cal, 8))
         train_logits = np.abs(rng.standard_normal((n_cal, 3)))
-        calib = vim_calibrate(train, train_logits, d_prime)
+        calib = vim_calibrate(blocks_of(train, train_logits), d_prime)
         basis, mean = calib.principal_basis, calib.feature_mean
         assert basis.shape == (d_prime, 8)
         alpha = (np.sum(np.max(train_logits, axis=1))
