@@ -4,7 +4,6 @@ augmentation, evaluation, the capacity sweep, and JSON report emission.
 Configs derived with `dataclasses.replace` (ingest's head-only model, the
 sweep's rows) are range-checked again."""
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -124,8 +123,8 @@ class ExperimentConfig:
         for key in ("lr", "temperature", "separation"):
             if getattr(self, key) <= 0:
                 raise FormatError(f"{key} must be > 0")
-        if not 0 <= self.val_fraction < 1:
-            raise FormatError("val_fraction must be in [0, 1)")
+        if not 0 < self.val_fraction < 1:
+            raise FormatError("val_fraction must be in (0, 1)")
         if any(s < 0 for s in self.sweep_seeds):
             raise FormatError("sweep_seeds must be >= 0")
         try:    # from the outlier-engine fields that the config has
@@ -317,26 +316,12 @@ def _as_inputs(features, d_hat0, tau):
     return np.asarray(features, dtype=float).reshape(-1, d_hat0, tau)
 
 
-def _val_quality(model, val_x, val_y, grod_state, grod_cfg, seed, k):
-    """Model-selection criterion: mean of held-out ID accuracy and the AUROC
-    of held-out ID against fake outliers generated from the held-out features;
-    falls back to ID accuracy alone when no outliers are available."""
-    feats, logits = _model_outputs(model, val_x)
-    adjusted = post.adjust_logits(logits, k)
-    acc = id_accuracy(np.argmax(adjusted, axis=1) + 1, val_y)
-    if grod_state is None or not grod_state.initialized:
-        return acc
-    snapshot = copy.deepcopy(grod_state)
-    rng = np.random.Generator(np.random.Philox(seed))
-    f_all, _, info = grod_augment_batch(feats, val_y, snapshot, grod_cfg, rng)
-    if info["n_fake"] == 0:
-        return acc
-    fake = f_all[feats.shape[0]:]
-    fake_hidden = fake.reshape(-1, model.budget.d_hat, model.tau)
-    fake_logits, _ = tfm.head_forward(model, fake_hidden)
-    fake_adj = post.adjust_logits(fake_logits, k)
-    sep = metrics_mod.auroc(post.msp_score(adjusted), post.msp_score(fake_adj))
-    return 0.5 * (acc + sep)
+def _val_quality(model, val_x, val_y, k):
+    """Held-out ID accuracy of the current model, logged per epoch as a
+    diagnostic; it selects nothing."""
+    _, logits = _model_outputs(model, val_x)
+    return id_accuracy(np.argmax(post.adjust_logits(logits, k), axis=1) + 1,
+                       val_y)
 
 
 def train_model(config, seed, train_batch, n_id_classes,
@@ -345,8 +330,9 @@ def train_model(config, seed, train_batch, n_id_classes,
     model has the config's depth and budget, the features' width as input,
     and with `identity_input` a frozen identity input map.
 
-    Returns (model, grod_state, log).  The best epoch's parameters (by the
-    held-out criterion) are restored before returning.  Raises
+    Returns (model, grod_state, log), the model as it is after the last
+    configured epoch.  Each log row's `val_quality` is the held-out ID
+    accuracy of that epoch's model, a diagnostic only.  Raises
     TrainingDiverged, naming the epoch and batch (both counted from 0 as
     in the log), at the first batch whose hidden features or loss are not
     finite, and at the end of an epoch whose parameters are not.
@@ -379,7 +365,6 @@ def train_model(config, seed, train_batch, n_id_classes,
     opt_state = tfm.adamw_init(model)
     use_adamw = config.optimizer == "adamw"
 
-    best_quality, best_params = -np.inf, None
     log = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(fit_x.shape[0])
@@ -431,18 +416,11 @@ def train_model(config, seed, train_batch, n_id_classes,
             if not np.isfinite(value).all():
                 raise TrainingDiverged(f"epoch {epoch}: parameter {name} "
                                        f"not finite")
-        quality = _val_quality(model, val_x, val_y, grod_state, config.grod,
-                               seed * 7 + 100 + epoch, k)
-        if quality > best_quality:
-            best_quality = quality
-            best_params = {key: v.copy() for key, v in model.params.items()}
         log.append({"epoch": epoch, "loss_l1": ep_l1 / max(1, n_batches),
                     "loss_l2": ep_l2 / max(1, n_batches),
                     "fake_ood_retained": ep_fake,
                     "grod_fallbacks": ep_fallbacks,
-                    "val_quality": quality})
-    if best_params is not None:
-        model.params = best_params
+                    "val_quality": _val_quality(model, val_x, val_y, k)})
     return model, grod_state, log
 
 

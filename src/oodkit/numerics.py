@@ -21,10 +21,13 @@ EPS0 = 1e-4   # ridge added to every covariance and scatter before factoring
 def regularized_cholesky(sigma, eps0=EPS0):
     """Lower Cholesky factor L of sigma + eps0*I = L L^T for a symmetric
     sigma or each matrix of a (..., d, d) stack, each checked for symmetry
-    at its own scale.  Raises NotPositiveDefinite if one fails."""
+    at its own scale.  Raises NotPositiveDefinite if one fails or has a
+    non-finite entry."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise NotPositiveDefinite("matrix has a non-finite entry")
     sigma_t = np.swapaxes(sigma, -1, -2)
     scale = np.maximum(1.0, np.max(np.abs(sigma), axis=(-2, -1)))
     if np.any(np.max(np.abs(sigma - sigma_t), axis=(-2, -1)) > 1e-10 * scale):

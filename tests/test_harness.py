@@ -81,6 +81,7 @@ class TestExperimentConfig:
         ("epochs", "2.5"), ("lr", "nan"), ("num", "-1"), ("heads", "0"),
         ("a", "0"), ("gamma_opt", "0"), ("lr", "inf"), ("optimizer", "adam"),
         ("task", "foo"), ("val_fraction", "1.0"), ("val_fraction", "-0.1"),
+        ("val_fraction", "0"),
         ("classes", "1"), ("dim", "1"), ("n_per_class", "0"),
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
@@ -186,7 +187,7 @@ def assert_valid_config(cfg):
     assert min(cfg.depth, cfg.warmup_batches, cfg.num, cfg.pca_axes,
                cfg.lda_axes) >= 0
     assert min(cfg.lr, cfg.temperature, cfg.separation, cfg.a) > 0
-    assert 0 <= cfg.val_fraction < 1 and 0 <= cfg.gamma <= 1
+    assert 0 < cfg.val_fraction < 1 and 0 <= cfg.gamma <= 1
     assert 0 < cfg.gamma_opt <= 1 and cfg.lambda_filter >= 0
 
 
@@ -552,6 +553,34 @@ class TestGenData:
                                  str(tmp_path))
 
 
+# the benchmark's ingest_s64 config; at seed 4 its held-out ID accuracy
+# reaches 1.0 at epoch 3 of 10, so a model picked by a held-out score
+# would be an early epoch's, not the last one's
+INGEST_S64 = {"task": "ingest", "classes": 4, "dim": 64, "n_per_class": 200,
+              "epochs": 10, "batch_size": 64, "lr": 0.005,
+              "grod_enabled": "true", "gamma": 0.1, "scorer": "msp"}
+
+
+@pytest.fixture(scope="module")
+def ingest_steps(tmp_path_factory):
+    """(output directory, config, train log rows, parameters after each
+    optimizer step) of `train` on the ingest_s64 config at seed 4."""
+    out = tmp_path_factory.mktemp("ingest_s64")
+    cfg = ExperimentConfig.parse(INGEST_S64)
+    harness.cmd_gen_data(cfg, 4, str(out))
+    real, snapshots = tfm.adamw_step, []
+
+    def snapshotting(model, grads, state, **kwargs):
+        real(model, grads, state, **kwargs)
+        snapshots.append({k: v.copy() for k, v in model.params.items()})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tfm, "adamw_step", snapshotting)
+        harness.cmd_train(cfg, 4, str(out))
+    log = json.loads((out / "train_log.json").read_text())["epochs"]
+    return out, cfg, log, snapshots
+
+
 class TestTrainEval:
     def test_cross_entropy_loss_decreases(self):
         cfg = small_config(grod_enabled="false", gamma=0.0, epochs=6)
@@ -572,6 +601,31 @@ class TestTrainEval:
                                               r"0 of 20 rows"):
             harness.train_model(small_config(val_fraction="0.99", epochs=1),
                                 79, train, 2)
+
+    def test_saved_model_is_the_last_epochs(self, ingest_steps):
+        out, _, log, snapshots = ingest_steps
+        # 720 fit rows in batches of 64: 12 steps per epoch
+        assert len(log) == 10 and len(snapshots) == 120
+        saved = tfm.load_model(out / "checkpoint.npz").params
+        assert saved.keys() == snapshots[-1].keys()
+        for name, value in snapshots[-1].items():
+            assert saved[name].tobytes() == value.tobytes(), name
+
+    def test_val_quality_is_held_out_id_accuracy(self, ingest_steps):
+        out, cfg, log, snapshots = ingest_steps
+        train, _, ood, k = harness._load_dataset(str(out))
+        n = train.features.shape[0]
+        n_val = max(1, round(cfg.val_fraction * n))
+        rows = np.random.Generator(np.random.Philox(4 * 7 + 5)).permutation(
+            n)[:n_val]
+        held_out = FeatureBatch(train.features[rows], train.labels[rows])
+        model = tfm.load_model(out / "checkpoint.npz")
+        steps = len(snapshots) // len(log)
+        for epoch, row in enumerate(log):
+            model.params = snapshots[(epoch + 1) * steps - 1]
+            summary, _ = harness.evaluate_model(model, train, held_out, ood,
+                                                k, scorer="msp")
+            assert row["val_quality"] == summary.id_acc, epoch
 
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = small_config(grod_enabled="false", gamma=0.0)
@@ -904,6 +958,22 @@ class TestCli:
             "not finite"]
         assert not (tmp_path / "checkpoint.npz").exists()
         assert not (tmp_path / "train_log.json").exists()
+
+    def test_diverged_run_prints_one_stderr_line(self, tmp_path):
+        # in a child process: in this one pytest filters numpy's warnings
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_train_per_class=100\nn_test_per_class=50\n"
+                       "n_ood=80\nbatch_size=32\nepochs=3\noptimizer=sgd\n"
+                       "lr=10\ngrod_enabled=false\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        runs = [subprocess.run(
+            [sys.executable, "-m", "oodkit.cli", command, "--config",
+             str(cfg), "--seed", "79", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True) for command in ("gen-data", "train")]
+        assert [r.returncode for r in runs] == [0, 1]
+        assert runs[1].stderr == ("error: TrainingDiverged: epoch 1, batch 2: "
+                                  "hidden features not finite\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # overflow
     def test_huge_warmup_pool_does_not_stop_training(self, tmp_path, capsys):

@@ -32,6 +32,16 @@ class TestRegularizedCholesky:
         with pytest.raises(NotPositiveDefinite):
             regularized_cholesky(-np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("shape,index", [((2, 2), (0, 0)),
+                                             ((3, 2, 2), (1, 1, 1))])
+    def test_non_finite_entry_raises(self, bad, shape, index):
+        # built directly: computing an overflowed covariance would warn
+        sigma = np.broadcast_to(np.eye(2), shape).copy()
+        sigma[index] = bad
+        with pytest.raises(NotPositiveDefinite):
+            regularized_cholesky(sigma)
+
     def test_stack_factors_each_matrix_at_its_own_scale(self):
         rng = np.random.default_rng(8)
         stack = np.array([random_spd(rng, 4) * 1e3, random_spd(rng, 4)])
