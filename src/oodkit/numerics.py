@@ -1,5 +1,7 @@
 """Dense linear-algebra primitives shared by the rest of the pipeline."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -16,6 +18,7 @@ class TooFewSamples(Exception):
 
 
 EPS0 = 1e-4   # ridge added to every covariance and scatter before factoring
+TRIL_BLOCK = 16   # widest diagonal block that tril_inverse inverts directly
 
 
 def regularized_cholesky(sigma, eps0=EPS0):
@@ -26,18 +29,32 @@ def regularized_cholesky(sigma, eps0=EPS0):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got {sigma.shape}")
-    if not np.isfinite(sigma).all():
+    scale = np.max(np.abs(sigma), axis=(-2, -1))   # NaN or inf shows here
+    if not np.isfinite(scale).all():
         raise NotPositiveDefinite("matrix has a non-finite entry")
-    sigma_t = np.swapaxes(sigma, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(sigma), axis=(-2, -1)))
-    if np.any(np.max(np.abs(sigma - sigma_t), axis=(-2, -1)) > 1e-10 * scale):
+    asym = np.max(np.abs(sigma - np.swapaxes(sigma, -1, -2)), axis=(-2, -1))
+    if np.any(asym > 1e-10 * np.maximum(1.0, scale)):
         raise DimensionMismatch("matrix is not symmetric")
-    # symmetrize to kill float asymmetry before factorizing
-    sym = 0.5 * (sigma + sigma_t) + eps0 * np.eye(sigma.shape[-1])
-    try:
-        return np.linalg.cholesky(sym)
+    try:   # reads the lower triangle only, so float asymmetry plays no part
+        return np.linalg.cholesky(sigma + eps0 * np.eye(sigma.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
+
+
+def tril_inverse(lower):
+    """Inverse of a lower-triangular matrix or of each of a (..., d, d)
+    stack by 2x2 block recursion, [[A, 0], [C, D]]^-1 =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]], down to blocks of width TRIL_BLOCK
+    that np.linalg.inv inverts; within those the upper triangle is 0 only
+    to rounding."""
+    d = lower.shape[-1]
+    if d <= TRIL_BLOCK:
+        return np.linalg.inv(lower)
+    h, out = d // 2, np.zeros(lower.shape)
+    out[..., :h, :h] = a_inv = tril_inverse(lower[..., :h, :h])
+    out[..., h:, h:] = d_inv = tril_inverse(lower[..., h:, h:])
+    out[..., h:, :h] = -(d_inv @ lower[..., h:, :h]) @ a_inv
+    return out
 
 
 def regularized_inverse(sigma, eps0=EPS0):
@@ -81,6 +98,30 @@ def sample_covariance(f):
     centered = f - f.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     return 0.5 * (cov + cov.T)
+
+
+@dataclass
+class Moments:
+    """Batch statistics stacked as in the outlier state: row 0 over all
+    rows, row c over class c.  One row gives covariance EPS0*I; an absent
+    class is all zeros."""
+    count: np.ndarray   # (K+1,)
+    mean: np.ndarray    # (K+1, s)
+    cov: np.ndarray     # (K+1, s, s), unbiased (n-1)
+
+
+def batch_moments(f, y, n_classes):
+    """One pass over the rows of f (n x s) labelled y in 1..n_classes."""
+    f, y = np.asarray(f, dtype=float), np.asarray(y)
+    n, s = f.shape
+    count = np.bincount(y, minlength=n_classes + 1)[:n_classes + 1]
+    count[0] = n
+    mean, cov = np.zeros((n_classes + 1, s)), np.zeros((n_classes + 1, s, s))
+    for c in np.flatnonzero(count):
+        rows = f if c == 0 else f[y == c]
+        mean[c] = rows.mean(axis=0)
+        cov[c] = sample_covariance(rows) if count[c] > 1 else EPS0 * np.eye(s)
+    return Moments(count=count, mean=mean, cov=cov)
 
 
 def softmax(x, axis):

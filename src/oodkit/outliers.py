@@ -1,11 +1,12 @@
 """Synthetic-outlier engine used during fine-tuning.
 
-Per batch it: picks a class subset sized to the batch budget, EMA-updates
-the centers, covariances and reference Mahalanobis distances (stacks over
-K+1 centers: row 0 global, row c class c), factoring the whole covariance
-stack once into the snapshot that every distance of the batch reads, mines
-boundary rows (the batch's in its PCA basis, each selected class's in the
-one LDA basis), pushes them outward to get outlier centers, samples
+Per batch it: takes the batch's moments once (stacks over K+1 centers:
+row 0 global, row c class c), picks a class subset sized to the batch
+budget, EMA-updates the centers, covariances and reference Mahalanobis
+distances, factoring the whole covariance stack once into the snapshot
+that every distance of the batch reads, mines boundary rows (the batch's
+in the PCA basis of its covariance, each selected class's in the LDA basis
+of all class moments), pushes them outward to get outlier centers, samples
 Gaussian candidates around those centers, deletes the ID-like ones by a
 Mahalanobis margin, caps the survivors, and attaches distance-ratio soft
 labels over K+1 classes.  Every covariance is regularized by the fixed
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (EPS0, NotPositiveDefinite, TooFewSamples,
-                       mahalanobis_sq_rows, regularized_cholesky,
-                       sample_covariance, softmax)
+from .numerics import (NotPositiveDefinite, batch_moments,
+                       mahalanobis_sq_rows, regularized_cholesky, softmax,
+                       tril_inverse)
 from .projections import DegenerateScatter, lda_fit, mine_boundary, pca_fit
 
 
@@ -111,13 +112,6 @@ def load_grod_state(path):
     return state
 
 
-def _class_cov(rows, dim):
-    try:
-        return sample_covariance(rows)
-    except TooFewSamples:
-        return EPS0 * np.eye(dim)
-
-
 def select_classes(class_counts, batch_size, n_id_classes):
     """Budgeted class subset: kappa = min(|eligible|, max(1, floor(2B/K))),
     top-kappa classes by count, ties broken toward smaller class index."""
@@ -139,7 +133,7 @@ def factor_snapshot(state):
     The distance functions below take it as their `snapshot`."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
-    return state.mu.copy(), np.linalg.inv(regularized_cholesky(state.cov))
+    return state.mu.copy(), tril_inverse(regularized_cholesky(state.cov))
 
 
 def class_distances(points, snapshot):
@@ -161,23 +155,24 @@ def id_reference_distances(f, y, state, snapshot):
     return out
 
 
-def update_centers(state, f, y, subset, gamma_opt):
-    """Update of the global center and the subset's classes: a center not
-    yet tracked takes the batch's mean and covariance, a tracked one their
-    EMA; the reference distances likewise.  Returns the factor snapshot of
-    the updated covariances.  On NotPositiveDefinite the centers and
-    covariances are updated, the distances are not."""
+def update_centers(state, f, y, moments, subset, gamma_opt):
+    """Update of the global center and the subset's classes from the
+    batch's moments, batch_moments(f, y, K): a center not yet tracked
+    takes the batch's mean and covariance, a tracked one their EMA, one
+    expression over the updated rows; the reference distances likewise.
+    Returns the factor snapshot of the updated covariances.  On
+    NotPositiveDefinite the centers and covariances are updated, the
+    distances are not."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
     was_tracked = state.tracked.copy()
-    for i, rows in [(0, f)] + [(c, f[y == c]) for c in subset]:
-        if rows.shape[0] == 0:
-            continue
-        mu, cov = rows.mean(axis=0), _class_cov(rows, state.dim)
-        if state.tracked[i]:
-            mu = _ema(state.mu[i], mu, gamma_opt)
-            cov = _ema(state.cov[i], cov, gamma_opt)
-        state.mu[i], state.cov[i], state.tracked[i] = mu, cov, True
+    rows = [c for c in (0, *subset) if moments.count[c]]
+    old, mu, cov = was_tracked[rows], moments.mean[rows], moments.cov[rows]
+    state.mu[rows] = np.where(old[:, None],
+                              _ema(state.mu[rows], mu, gamma_opt), mu)
+    state.cov[rows] = np.where(old[:, None, None],
+                               _ema(state.cov[rows], cov, gamma_opt), cov)
+    state.tracked[rows] = True
     snapshot = factor_snapshot(state)
     new = id_reference_distances(f, y, state, snapshot)
     new = np.where(was_tracked, _ema(state.dist, new, gamma_opt), new)
@@ -194,10 +189,10 @@ def initialize_state(state, f, y):
     k1, d = state.n_id_classes + 1, state.dim
     state.mu, state.cov = np.zeros((k1, d)), np.zeros((k1, d, d))
     state.dist, state.tracked = np.zeros(k1), np.zeros(k1, dtype=bool)
-    y = np.asarray(y)
+    f, y = np.asarray(f, dtype=float), np.asarray(y)
     try:
-        update_centers(state, np.asarray(f, dtype=float), y, np.unique(y),
-                       1.0)
+        update_centers(state, f, y, batch_moments(f, y, state.n_id_classes),
+                       np.unique(y), 1.0)
     except NotPositiveDefinite:
         state.mu = state.cov = state.dist = state.tracked = None
         raise
@@ -226,18 +221,22 @@ def build_ood_centers(boundaries, state, a):
 def sample_fake_ood(ood_centers, a, num, rng):
     """Per provenance group, in increasing row order, draw num points
     ~ N(center, (a/3) I) round-robin over that group's centers, given
-    build_ood_centers' (centers, provenance).  Returns the same pair."""
+    build_ood_centers' (centers, provenance), whose groups are contiguous
+    and in increasing key order.  The noise of all groups is one draw.
+    Returns the same pair."""
     centers, provenance = ood_centers
     if len(centers) == 0:
         raise ValueError("no outlier centers")
-    std = math.sqrt(a / 3.0)
-    keys = np.unique(provenance)
-    points = []
-    for key in keys:
-        members = centers[provenance == key]
-        points.append(members[np.arange(num) % len(members)]
-                      + std * rng.standard_normal((num, centers.shape[1])))
-    return np.vstack(points), np.repeat(keys, num)
+    bounds = np.flatnonzero(provenance[1:] != provenance[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    keys = provenance[starts]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("provenance groups not contiguous and increasing")
+    sizes = np.concatenate((bounds, [len(provenance)])) - starts
+    picks = starts[:, None] + np.arange(num) % sizes[:, None]
+    noise = rng.standard_normal((len(starts) * num, centers.shape[1]))
+    return (centers[picks.ravel()] + math.sqrt(a / 3.0) * noise,
+            np.repeat(keys, num))
 
 
 def filter_fake_ood(candidates, state, lambda_filter, batch_size,
@@ -324,11 +323,14 @@ def grod_augment_batch(f, y, state, config, rng):
         return f, id_labels, info
 
     state.batch_index += 1
-    counts = {int(c): int(n) for c, n in zip(*np.unique(y, return_counts=True))}
+    moments = batch_moments(f, y, k)
+    counts = {int(c): int(moments.count[c])
+              for c in np.flatnonzero(moments.count[1:]) + 1}
     kappa, subset = select_classes(counts, batch_size, k)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     try:
-        snapshot = update_centers(state, f, y, subset, config.gamma_opt)
+        snapshot = update_centers(state, f, y, moments, subset,
+                                  config.gamma_opt)
     except NotPositiveDefinite:
         info["fallback"] = "not_pd"
         return f, id_labels, info
@@ -337,12 +339,12 @@ def grod_augment_batch(f, y, state, config, rng):
 
     s = f.shape[1]
     p_pca = min(config.pca_axes or min(s, 8), s, batch_size - 1)
-    boundaries = [(f[mine_boundary(f, pca_fit(f, p_pca))], 0)]
+    boundaries = [(f[mine_boundary(f, pca_fit(moments, p_pca))], 0)]
     n_eligible = sum(1 for n in counts.values() if n >= 2)
     if n_eligible >= 2:    # then kappa > 0 too
         p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
         try:
-            basis = lda_fit(f, y, p_lda)
+            basis = lda_fit(moments, p_lda)
         except DegenerateScatter:
             info["fallback"] = "degenerate_scatter"
         else:   # lda_fit's classes are select_classes' eligible ones

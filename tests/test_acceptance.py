@@ -19,7 +19,7 @@ from oodkit import cli, harness
 from oodkit import metrics as metrics_mod
 from oodkit import transformer as tfm
 from oodkit.loss import batch_loss_and_grad
-from oodkit.numerics import mahalanobis_sq, regularized_inverse
+from oodkit.numerics import batch_moments, mahalanobis_sq, regularized_inverse
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              build_ood_centers, filter_fake_ood,
                              initialize_state, sample_fake_ood,
@@ -255,12 +255,14 @@ def test_criterion_6_filter_invariants(capsys):
         counts = {int(c): int(n)
                   for c, n in zip(*np.unique(y, return_counts=True))}
         kappa, subset = select_classes(counts, batch_size, k)
-        snapshot = update_centers(state, f, y, subset, config.gamma_opt)
+        moments = batch_moments(f, y, k)
+        snapshot = update_centers(state, f, y, moments, subset,
+                                  config.gamma_opt)
 
-        boundaries = [(f[mine_boundary(f, pca_fit(f, 2))], 0)]
+        boundaries = [(f[mine_boundary(f, pca_fit(moments, 2))], 0)]
         if kappa > 0:
             try:
-                basis = lda_fit(f, y, 1)
+                basis = lda_fit(moments, 1)
                 for c in subset:
                     rows = f[y == c]
                     boundaries.append((rows[mine_boundary(rows, basis)], c))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodkit.numerics import (DimensionMismatch, NotPositiveDefinite,
-                             TooFewSamples, mahalanobis_sq,
+from oodkit.numerics import (EPS0, DimensionMismatch, NotPositiveDefinite,
+                             TooFewSamples, batch_moments, mahalanobis_sq,
                              regularized_cholesky, regularized_inverse,
-                             sample_covariance, softmax)
+                             sample_covariance, softmax, tril_inverse)
 
 
 def random_spd(rng, dim, cond_max=1e6):
@@ -146,6 +146,56 @@ class TestMahalanobisSq:
             d1 = mahalanobis_sq(a @ x, a @ mu,
                                 np.linalg.inv(a @ sigma @ a.T))
             assert abs(d0 - d1) <= 1e-8 * max(1.0, d0)
+
+
+class TestTrilInverse:
+    @pytest.mark.parametrize("dim", [1, 2, 15, 16, 17, 33, 64, 65])
+    def test_matches_general_inverse_on_factor_stacks(self, dim):
+        # regularized Cholesky factors of spectra down to 1e-6, as the
+        # outlier engine factors them; the identity residual at the
+        # criterion-7 bound of 1e-8
+        rng = np.random.default_rng(dim)
+        lower = regularized_cholesky(
+            np.array([random_spd(rng, dim) for _ in range(5)]))
+        got = tril_inverse(lower)
+        assert np.max(np.abs(np.triu(got, 1))) <= 1e-14 * np.max(np.abs(got))
+        assert np.max(np.abs(lower @ got - np.eye(dim))) <= 1e-8
+        np.testing.assert_allclose(got, np.linalg.inv(lower), rtol=0,
+                                   atol=1e-8 * np.max(np.abs(got)))
+
+    def test_single_matrix_equals_its_stack_row(self):
+        rng = np.random.default_rng(3)
+        lower = regularized_cholesky(
+            np.array([random_spd(rng, 40) for _ in range(3)]))
+        for i in range(3):
+            np.testing.assert_array_equal(tril_inverse(lower[i]),
+                                          tril_inverse(lower)[i])
+
+
+class TestBatchMoments:
+    def test_rows_match_per_class_statistics(self):
+        # bitwise the per-class means and sample covariances; a singleton
+        # gets EPS0*I and an absent class stays zero
+        rng = np.random.default_rng(9)
+        y = np.array([1] * 7 + [3] + [4] * 5)
+        f = rng.standard_normal((len(y), 3))
+        m = batch_moments(f, y, 4)
+        assert m.count.tolist() == [13, 7, 0, 1, 5]
+        np.testing.assert_array_equal(m.mean[0], f.mean(axis=0))
+        np.testing.assert_array_equal(m.cov[0], sample_covariance(f))
+        for c in (1, 4):
+            np.testing.assert_array_equal(m.mean[c], f[y == c].mean(axis=0))
+            np.testing.assert_array_equal(m.cov[c],
+                                          sample_covariance(f[y == c]))
+        np.testing.assert_array_equal(m.mean[3], f[7])
+        np.testing.assert_array_equal(m.cov[3], EPS0 * np.eye(3))
+        assert not m.mean[2].any() and not m.cov[2].any()
+
+    def test_no_classes_row_0_alone(self):
+        f = np.array([[0.0, 0.0], [2.0, 0.0]])
+        m = batch_moments(f, [1, 1], 0)
+        assert m.count.tolist() == [2]
+        np.testing.assert_array_equal(m.cov, [sample_covariance(f)])
 
 
 class TestSampleCovariance:

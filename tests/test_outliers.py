@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oodkit.numerics import (mahalanobis_sq, mahalanobis_sq_rows,
-                             regularized_inverse, sample_covariance, softmax)
+from oodkit import outliers
+from oodkit.numerics import (Moments, batch_moments, mahalanobis_sq,
+                             mahalanobis_sq_rows, regularized_inverse,
+                             sample_covariance, softmax, tril_inverse)
 from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              UninitializedState, build_ood_centers,
                              class_distances, factor_snapshot,
@@ -122,7 +124,7 @@ def ref_ema(old, new, rate):
 def ref_snapshot(state, eps0):
     def linv(cov):
         sym = 0.5 * (cov + cov.T) + eps0 * np.eye(len(cov))
-        return np.linalg.inv(np.linalg.cholesky(sym))
+        return tril_inverse(np.linalg.cholesky(sym))
     snap = {None: (state.mu_pca, linv(state.cov_pca))}
     snap.update((c, (state.mu_lda[c], linv(state.cov_lda[c])))
                 for c in sorted(state.mu_lda))
@@ -172,6 +174,18 @@ def ref_update_centers(state, f, y, subset, gamma_opt, eps0=1e-4):
     return snap
 
 
+def ref_moments(f, y, k, eps0=1e-4):
+    """The batch's counts, means and covariances from the oracle's own
+    per-class statistics, in the layout the PCA and LDA fits take."""
+    dim = f.shape[1]
+    count = np.array([len(f)] + [np.sum(y == c) for c in range(1, k + 1)])
+    mean, cov = np.zeros((k + 1, dim)), np.zeros((k + 1, dim, dim))
+    for c, rows in enumerate([f] + [f[y == c] for c in range(1, k + 1)]):
+        if len(rows):
+            mean[c], cov[c] = rows.mean(axis=0), ref_class_cov(rows, eps0, dim)
+    return Moments(count=count, mean=mean, cov=cov)
+
+
 def ref_boundary(rows, basis):
     return [rows[i] for i in mine_boundary(rows, basis)]
 
@@ -199,6 +213,20 @@ def ref_sample_fake_ood(ood_centers, a, num, rng):
     return np.array(points)
 
 
+def loop_sample_fake_ood(ood_centers, a, num, rng):
+    """One noise draw per provenance group, groups in increasing key
+    order, round-robin over each group's centers."""
+    centers, provenance = ood_centers
+    keys = np.unique(provenance)
+    points = []
+    for key in keys:
+        members = centers[provenance == key]
+        points.append(members[np.arange(num) % len(members)]
+                      + math.sqrt(a / 3.0)
+                      * rng.standard_normal((num, centers.shape[1])))
+    return np.vstack(points), np.repeat(keys, num)
+
+
 def ref_augment(f, y, state, config, rng):
     """The per-batch pipeline of grod_augment_batch on a RefState."""
     k, n = state.n_id_classes, len(y)
@@ -216,13 +244,14 @@ def ref_augment(f, y, state, config, rng):
     kappa, subset = select_classes(counts, n, k)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     snap = ref_update_centers(state, f, y, subset, config.gamma_opt)
+    moments = ref_moments(f, y, k)
     p_pca = min(config.pca_axes or min(f.shape[1], 8), f.shape[1], n - 1)
-    boundaries = [(ref_boundary(f, pca_fit(f, p_pca)), None)]
+    boundaries = [(ref_boundary(f, pca_fit(moments, p_pca)), None)]
     n_eligible = sum(1 for m in counts.values() if m >= 2)
     if kappa > 0 and n_eligible >= 2:
         p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
         try:
-            basis = lda_fit(f, y, p_lda)
+            basis = lda_fit(moments, p_lda)
             boundaries += [(ref_boundary(f[y == c], basis), c)
                            for c in subset]
         except DegenerateScatter:
@@ -309,7 +338,9 @@ class TestUpdateCenters:
         state, f, y = make_state(rng)
         state.mu[0] = np.zeros(2)
         batch = np.ones((10, 2))
-        update_centers(state, batch, np.array([1] * 10), [], 0.1)
+        yb = np.array([1] * 10)
+        update_centers(state, batch, yb, batch_moments(batch, yb, 2), [],
+                       0.1)
         np.testing.assert_allclose(state.mu[0], [0.1, 0.1], atol=1e-12)
 
     def test_full_replacement(self):
@@ -317,7 +348,8 @@ class TestUpdateCenters:
         state, f, y = make_state(rng)
         batch = rng.standard_normal((20, 2)) + 5.0
         yb = np.array([1] * 20)
-        update_centers(state, batch, yb, [1], 1.0)
+        update_centers(state, batch, yb, batch_moments(batch, yb, 2), [1],
+                       1.0)
         np.testing.assert_allclose(state.mu[0], batch.mean(axis=0),
                                    atol=1e-12)
         np.testing.assert_allclose(state.mu[1], batch.mean(axis=0),
@@ -328,15 +360,17 @@ class TestUpdateCenters:
         state, _, _ = make_state(rng)
         batch = np.full((10, 2), 3.0)
         yb = np.array([1] * 10)
+        moments = batch_moments(batch, yb, 2)
         for _ in range(200):
-            update_centers(state, batch, yb, [1], 0.1)
+            update_centers(state, batch, yb, moments, [1], 0.1)
         np.testing.assert_allclose(state.mu[0], [3.0, 3.0], atol=1e-6)
 
     def test_uninitialized_raises(self):
         state = GrodState(n_id_classes=2, dim=2)
+        yb = np.array([1] * 4)
         with pytest.raises(UninitializedState):
-            update_centers(state, np.zeros((4, 2)), np.array([1] * 4),
-                           [], 0.1)
+            update_centers(state, np.zeros((4, 2)), yb,
+                           batch_moments(np.zeros((4, 2)), yb, 2), [], 0.1)
 
 
 class TestIdReferenceDistances:
@@ -399,8 +433,9 @@ class TestBuildOodCenters:
         # from that class's center and keep the class as provenance
         rng = np.random.default_rng(10)
         state, f, y = make_state(rng)
-        basis = lda_fit(f, y, 1)
-        boundaries = [(f[mine_boundary(f, pca_fit(f, 2))], 0)]
+        moments = batch_moments(f, y, 2)
+        basis = lda_fit(moments, 1)
+        boundaries = [(f[mine_boundary(f, pca_fit(moments, 2))], 0)]
         for c in (1, 2):
             rows = f[y == c]
             boundaries.append((rows[mine_boundary(rows, basis)], c))
@@ -441,6 +476,30 @@ class TestSampleFakeOod:
         assert prov.tolist().count(0) == 4 and prov.tolist().count(1) == 4
         near_zero = np.sum(np.linalg.norm(pts[:4], axis=1) < 50)
         assert near_zero == 2          # round-robin over the two PCA centers
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_draw_bitwise_equal_to_per_group_loop(self, seed):
+        # contiguous groups in increasing key order, as build_ood_centers
+        # emits them, of 1 to 5 centers each, some smaller than num
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.choice(6, size=int(rng.integers(1, 5)),
+                                  replace=False))
+        provenance = np.repeat(keys, rng.integers(1, 6, size=len(keys)))
+        centers = rng.standard_normal((len(provenance), 2 + seed % 63))
+        num = int(rng.integers(1, 9))
+        got = sample_fake_ood((centers, provenance), 0.1, num,
+                              np.random.Generator(np.random.Philox(seed)))
+        want = loop_sample_fake_ood(
+            (centers, provenance), 0.1, num,
+            np.random.Generator(np.random.Philox(seed)))
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_unordered_provenance_rejected(self):
+        centers = (np.zeros((3, 2)), np.array([0, 2, 0]))
+        with pytest.raises(ValueError):
+            sample_fake_ood(centers, 0.1, 4, np.random.default_rng(0))
 
     def test_determinism(self):
         centers = (np.zeros((1, 3)), np.array([0]))
@@ -485,6 +544,7 @@ class TestOodDistance:
             assert row.min() == pytest.approx(per_class[best], rel=1e-10)
 
     @given(st.sampled_from([1, 2, 8, 64]), st.integers(0, 2 ** 32 - 1))
+    @example(64, 0)
     @settings(max_examples=40, deadline=None)
     def test_batched_matches_scalar_oracle(self, dim, seed):
         # spectra down to 1e-6; both the global center route (row 0,
@@ -768,6 +828,62 @@ class TestAugmentBatch:
         assert state.initialized and state.batch_index == 4
         np.testing.assert_array_equal(state.mu[0],
                                       np.vstack(clean).mean(axis=0))
+
+    def test_coincident_class_means_count_as_degenerate_scatter(
+            self, monkeypatch):
+        # both classes centered exactly at the mean of all rows, so Sb = 0:
+        # lda_fit raises and the batch mines PCA boundaries only
+        ring = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        f = np.vstack([ring, 2.0 * ring] * 4)
+        y = np.array(([1] * 4 + [2] * 4) * 4)
+        raised = []
+
+        def spy(moments, p):
+            try:
+                return lda_fit(moments, p)
+            except DegenerateScatter:
+                raised.append(p)
+                raise
+
+        monkeypatch.setattr(outliers, "lda_fit", spy)
+        state = GrodState(n_id_classes=2, dim=2)
+        config = self.cfg(warmup_batches=1, lambda_filter=0.0)
+        grng = np.random.default_rng(0)
+        grod_augment_batch(f, y, state, config, grng)
+        _, _, info = grod_augment_batch(f, y, state, config, grng)
+        assert raised == [1]
+        assert info["fallback"] == "degenerate_scatter" and info["n_fake"] > 0
+
+    def test_lda_fits_every_eligible_class_beyond_the_budget(
+            self, monkeypatch):
+        # K = 20 > 2B = 16 gives kappa = 1 of three eligible classes: the
+        # LDA basis still comes from all three, and only the subset's rows
+        # are mined in it
+        k, rng = 20, np.random.default_rng(31)
+        y = np.array([3, 3, 3, 7, 7, 7, 9, 9])
+        means = 5.0 * rng.standard_normal((k, 2))
+        fitted, mined = [], []
+
+        def spy_fit(moments, p):
+            fitted.append((np.flatnonzero(moments.count[1:] >= 2) + 1, p))
+            return lda_fit(moments, p)
+
+        def spy_mine(rows, basis):
+            mined.append(len(rows))
+            return mine_boundary(rows, basis)
+
+        monkeypatch.setattr(outliers, "lda_fit", spy_fit)
+        monkeypatch.setattr(outliers, "mine_boundary", spy_mine)
+        state = GrodState(n_id_classes=k, dim=2)
+        config = self.cfg(warmup_batches=1)
+        grng = np.random.default_rng(0)
+        for _ in range(2):
+            f = means[y - 1] + rng.standard_normal((len(y), 2))
+            _, _, info = grod_augment_batch(f, y, state, config, grng)
+        assert info["kappa"] == 1
+        assert [c.tolist() for c, _ in fitted] == [[3, 7, 9]]
+        assert fitted[0][1] == 2
+        assert mined == [8, 3]       # the batch in PCA, class 3 in LDA
 
     def test_state_round_trip(self, tmp_path):
         _, state = self.run_post_warmup(seed=28)
