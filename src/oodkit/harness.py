@@ -22,7 +22,7 @@ from . import synthdata
 from . import transformer as tfm
 from .metrics import id_accuracy
 from .outliers import (FALLBACK_REASONS, GrodConfig, GrodState,
-                       grod_augment_batch, one_hot, save_grod_state)
+                       grod_augment_batch, one_hot)
 
 REPORT_SCHEMA_VERSION = 1
 SCORERS = ("msp", "energy", "vim")
@@ -125,6 +125,9 @@ class ExperimentConfig:
                 raise FormatError(f"{key} must be > 0")
         if not 0 < self.val_fraction < 1:
             raise FormatError("val_fraction must be in (0, 1)")
+        for key in ("sweep_depths", "sweep_seeds"):
+            if not getattr(self, key):
+                raise FormatError(f"{key} must not be empty")
         if any(s < 0 for s in self.sweep_seeds):
             raise FormatError("sweep_seeds must be >= 0")
         try:    # from the outlier-engine fields that the config has
@@ -328,7 +331,9 @@ def train_model(config, seed, train_batch, n_id_classes,
                 identity_input=False):
     """Fine-tuning loop shared by the 2-d task and the ingestion path; the
     model has the config's depth and budget, the features' width as input,
-    and with `identity_input` a frozen identity input map.
+    and with `identity_input` a frozen identity input map.  Each step joins
+    the gradients into one vector and updates the tail of `model.flat` that
+    it covers; a frozen input map leads the vector and gets no step, no decay.
 
     Returns (model, grod_state, log), the model as it is after the last
     configured epoch.  Each log row's `val_quality` is the held-out ID
@@ -342,9 +347,9 @@ def train_model(config, seed, train_batch, n_id_classes,
     d_hat0 = train_batch.features.shape[1]
     budget = config.budget
     model = tfm.init_model(d_hat0, tau, config.depth, budget, k, seed * 7 + 1)
-    if identity_input:
-        model.params["input.W"] = np.eye(budget.d_hat, d_hat0)
-        model.params["input.b"] = np.zeros(budget.d_hat)
+    if identity_input:    # in place, so the parameters stay views of flat
+        model.params["input.W"][...] = np.eye(budget.d_hat, d_hat0)
+    trainable = list(model.params)[2 if identity_input else 0:]
 
     grod_state = (GrodState(n_id_classes=k, dim=budget.d_hat * tau)
                   if config.grod_enabled else None)
@@ -398,13 +403,12 @@ def train_model(config, seed, train_batch, n_id_classes,
                                                     dlogits)
             grads = tfm.trunk_backward(model, cache, dhidden[:idx.size])
             grads.update(head_grads)
-            if identity_input:    # frozen: no gradient step, no decay
-                del grads["input.W"], grads["input.b"]
+            grad = np.concatenate([grads[name].ravel() for name in trainable])
             if use_adamw:
-                tfm.adamw_step(model, grads, opt_state, lr=config.lr,
+                tfm.adamw_step(model, grad, opt_state, lr=config.lr,
                                weight_decay=config.weight_decay)
             else:
-                tfm.sgd_step(model, grads, config.lr,
+                tfm.sgd_step(model, grad, config.lr,
                              weight_decay=config.weight_decay)
             ep_l1 += l1
             ep_l2 += l2
@@ -412,10 +416,11 @@ def train_model(config, seed, train_batch, n_id_classes,
             if info["fallback"]:
                 ep_fallbacks[info["fallback"]] += 1
             n_batches += 1
-        for name, value in model.params.items():
-            if not np.isfinite(value).all():
-                raise TrainingDiverged(f"epoch {epoch}: parameter {name} "
-                                       f"not finite")
+        if not np.isfinite(model.flat).all():
+            name = next(name for name, value in model.params.items()
+                        if not np.isfinite(value).all())
+            raise TrainingDiverged(f"epoch {epoch}: parameter {name} "
+                                   f"not finite")
         log.append({"epoch": epoch, "loss_l1": ep_l1 / max(1, n_batches),
                     "loss_l2": ep_l2 / max(1, n_batches),
                     "fake_ood_retained": ep_fake,
@@ -604,7 +609,6 @@ def _train(config, seed, out_dir, dataset):
               f"(warmup_batches={config.warmup_batches}, "
               f"training batches={state.batch_index})", file=sys.stderr)
     tfm.save_model(model, os.path.join(out_dir, "checkpoint.npz"))
-    save_grod_state(state, os.path.join(out_dir, "grod_state.npz"))
     _write_json(os.path.join(out_dir, "train_log.json"),
                 {"schema_version": REPORT_SCHEMA_VERSION,
                  "config_hash": config.hash(), "seed": seed, "epochs": log,

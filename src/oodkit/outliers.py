@@ -13,7 +13,6 @@ labels over K+1 classes.  Every covariance is regularized by the fixed
 ridge numerics.EPS0 before it is factored.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +33,6 @@ class AllFiltered(Exception):
 
 
 FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
-STATISTICS = ("mu", "cov", "dist", "tracked")
 
 
 @dataclass
@@ -75,41 +73,6 @@ class GrodState:
     @property
     def initialized(self):
         return self.mu is not None
-
-
-def save_grod_state(state, path):
-    """npz archive: a JSON `meta` record, the STATISTICS stacks once
-    initialized and the stacked warmup pool (`pool_f`, `pool_y`) while it
-    is non-empty.  A None state saves an empty archive."""
-    arrays = {}
-    if state is not None:
-        arrays["meta"] = np.frombuffer(json.dumps(
-            {"n_id_classes": state.n_id_classes, "dim": state.dim,
-             "batch_index": state.batch_index},
-            sort_keys=True).encode(), dtype=np.uint8)
-        if state.initialized:
-            arrays.update({key: getattr(state, key) for key in STATISTICS})
-        if state.pool_f:
-            arrays["pool_f"] = np.vstack(state.pool_f)
-            arrays["pool_y"] = np.concatenate(state.pool_y)
-    np.savez(path, **arrays)
-
-
-def load_grod_state(path):
-    """Inverse of save_grod_state; the pool comes back as one batch, so
-    it counts as one of the warmup_batches that initialization waits for."""
-    with np.load(path) as data:
-        if "meta" not in data.files:
-            return None
-        meta = json.loads(bytes(data["meta"]).decode())
-        state = GrodState(n_id_classes=meta["n_id_classes"], dim=meta["dim"],
-                          batch_index=meta["batch_index"])
-        if "mu" in data.files:
-            for key in STATISTICS:
-                setattr(state, key, data[key])
-        if "pool_f" in data.files:
-            state.pool_f, state.pool_y = [data["pool_f"]], [data["pool_y"]]
-    return state
 
 
 def select_classes(class_counts, batch_size, n_id_classes):

@@ -42,6 +42,7 @@ class TransformerModel:
     budget: Budget
     n_classes: int          # K + 1
     params: dict            # name -> ndarray
+    flat: np.ndarray = None     # params' storage; None as loaded
 
 
 def param_shapes(d_hat0, tau, depth, budget, n_id_classes):
@@ -61,17 +62,19 @@ def param_shapes(d_hat0, tau, depth, budget, n_id_classes):
 
 def init_model(d_hat0, tau, depth, budget, n_id_classes, seed):
     """Fresh model with uniform(-0.1, 0.1) weights (`.W*`) and zero biases
-    (`.b*`)."""
+    (`.b*`), each a view into one flat vector in `param_shapes` order."""
     rng = np.random.Generator(np.random.Philox(seed))
-    params = {}
-    for name, shape in param_shapes(d_hat0, tau, depth, budget,
-                                    n_id_classes).items():
-        weight = name.split(".")[1].startswith("W")
-        params[name] = (rng.uniform(-0.1, 0.1, size=shape) if weight
-                        else np.zeros(shape))
+    shapes = param_shapes(d_hat0, tau, depth, budget, n_id_classes)
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
+    flat = np.zeros(ends[-1])
+    params = {name: part.reshape(shape) for (name, shape), part in
+              zip(shapes.items(), np.split(flat, ends[:-1]))}
+    for name, value in params.items():
+        if name.split(".")[1].startswith("W"):
+            value[...] = rng.uniform(-0.1, 0.1, size=value.shape)
     return TransformerModel(d_hat0=d_hat0, tau=tau, depth=depth,
                             budget=budget, n_classes=n_id_classes + 1,
-                            params=params)
+                            params=params, flat=flat)
 
 
 def positional_encoding(d_hat0, tau):
@@ -177,39 +180,35 @@ def trunk_backward(model, cache, dhidden):
     return grads
 
 
-def sgd_step(model, grads, lr, weight_decay=0.0):
-    """Updates the parameters named in grads; the others stay as they are."""
-    for name, g in grads.items():
-        p = model.params[name]
-        p -= lr * (g + weight_decay * p)
+def sgd_step(model, grad, lr, weight_decay=0.0):
+    """Updates the last grad.size entries of model.flat; the rest stay."""
+    p = model.flat[model.flat.size - grad.size:]
+    p -= lr * (grad + weight_decay * p)
     return model
 
 
 @dataclass
 class AdamWState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def adamw_init(model):
-    return AdamWState(m={k: np.zeros_like(v) for k, v in model.params.items()},
-                      v={k: np.zeros_like(v) for k, v in model.params.items()})
+    return AdamWState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
-def adamw_step(model, grads, state, lr=1e-4, beta1=0.9, beta2=0.999,
+def adamw_step(model, grad, state, lr=1e-4, beta1=0.9, beta2=0.999,
                eps=1e-8, weight_decay=5e-2):
-    """Decoupled weight decay AdamW update of the parameters in grads only."""
+    """Decoupled weight decay AdamW update of model.flat, as `sgd_step`."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, g in grads.items():
-        p = model.params[name]
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+    start = model.flat.size - grad.size
+    p, m, v = model.flat[start:], state.m[start:], state.v[start:]
+    m[...] = beta1 * m + (1 - beta1) * grad
+    v[...] = beta2 * v + (1 - beta2) * grad * grad
+    p -= lr * (m / bc1 / (np.sqrt(v / bc2) + eps) + weight_decay * p)
     return model
 
 

@@ -23,7 +23,6 @@ from oodkit.harness import (ExperimentConfig, FormatError, IoError,
                             read_feature_file, write_feature_file)
 from oodkit import outliers
 from oodkit.numerics import NotPositiveDefinite
-from oodkit.outliers import load_grod_state, save_grod_state
 from oodkit.synthdata import FeatureBatch, gen_mixture_2d
 
 
@@ -86,7 +85,7 @@ class TestExperimentConfig:
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
         ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1"),
-        ("weight_decay", "-50")])
+        ("weight_decay", "-50"), ("sweep_seeds", ""), ("sweep_depths", ",")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
             ExperimentConfig.parse({key: value})
@@ -175,7 +174,7 @@ def assert_valid_config(cfg):
         elif f.type in (int, str, bool):
             assert type(value) is f.type, f.name
         else:
-            assert type(value) is tuple, f.name
+            assert type(value) is tuple and value, f.name
             assert all(type(v) is int for v in value), f.name
     assert cfg.task in ("mixture2d", "ingest")
     assert cfg.optimizer in ("adamw", "sgd")
@@ -846,34 +845,18 @@ class TestTrainEval:
                 for v in raw[:, :k] / 0.7]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_grod_state_round_trip(self, tmp_path):
-        cfg = small_config(grod_enabled="true", gamma=0.1, epochs=3)
-        train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        _, state, _ = harness.train_model(cfg, 79, train, 2)
-        path = tmp_path / "state.npz"
-        save_grod_state(state, path)
-        loaded = load_grod_state(path)
-        np.testing.assert_array_equal(loaded.mu[0], state.mu[0])
-        assert loaded.dist[0] == state.dist[0]
-        np.testing.assert_array_equal(loaded.tracked, state.tracked)
-        with np.load(path) as data:     # an initialized state has no pool
-            assert "pool_f" not in data.files
-
-    def test_grod_state_round_trip_keeps_warmup_pool(self, tmp_path):
+    def test_grod_state_round_trip_keeps_warmup_pool(self):
         cfg = small_config(grod_enabled="true", gamma=0.1,
                            warmup_batches=100)
-        harness.cmd_gen_data(cfg, 79, str(tmp_path))
-        harness.cmd_train(cfg, 79, str(tmp_path))
-        loaded = load_grod_state(tmp_path / "grod_state.npz")
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
         _, state, _ = harness.train_model(cfg, 79, train, 2)
         # 180 fit rows in batches of 32 give 6 batches in each of 2 epochs
-        assert not loaded.initialized and loaded.batch_index == 12
-        np.testing.assert_array_equal(np.vstack(loaded.pool_f),
-                                      np.vstack(state.pool_f))
-        np.testing.assert_array_equal(np.concatenate(loaded.pool_y),
-                                      np.concatenate(state.pool_y))
-        assert np.vstack(loaded.pool_f).shape == (360, 2)
+        assert not state.initialized and state.batch_index == 12
+        pool_f, pool_y = np.vstack(state.pool_f), np.concatenate(state.pool_y)
+        assert pool_f.shape == (360, 2) and np.isfinite(pool_f).all()
+        # each epoch pools the same 180 fit rows
+        np.testing.assert_array_equal(np.sort(pool_y[:180]),
+                                      np.sort(pool_y[180:]))
 
 
 class TestSweep:
@@ -1022,6 +1005,37 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: FormatError: scorer")
         assert not (tmp_path / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("values,commands", [
+        ({"task": "mixture2d", "n_train_per_class": 150,
+          "n_test_per_class": 50, "n_ood": 100, "epochs": 3,
+          "batch_size": 64, "lr": 0.005, "grod_enabled": "true",
+          "gamma": 0.1, "scorer": "vim"}, ("train", "eval")),
+        (dict(INGEST_S64, n_per_class=50, epochs=3), ("ingest",))])
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, values,
+                                                   commands):
+        # the benchmark's mixture2d_grod and ingest_s64 jobs at their tiny
+        # sizes, with one BLAS thread and with the library's default; the
+        # processes run one after another, never two at once
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+        default = {k: v for k, v in os.environ.items() if k not in threads}
+        default["PYTHONPATH"] = src
+        outputs = []
+        for env in ({**default, **dict.fromkeys(threads, "1")}, default):
+            out = tmp_path / f"run{len(outputs)}"
+            for command in ("gen-data", *commands):
+                subprocess.run([sys.executable, "-m", "oodkit.cli", command,
+                                "--config", str(cfg), "--seed", "5",
+                                "--out", str(out)],
+                               env=env, capture_output=True, check=True)
+            outputs.append({name: (out / name).read_bytes() for name in
+                            ("checkpoint.npz", "train_log.json",
+                             "report.json")})
+        assert outputs[0] == outputs[1]
 
     def test_cli_import_does_not_load_scipy_stats(self):
         # numpy is the only runtime dependency: no scipy module, whose
@@ -1340,6 +1354,34 @@ class TestIngestCommand:
         monkeypatch.setattr(harness, "read_feature_file", counting)
         harness.cmd_ingest(cfg, 1, str(tmp_path))
         assert seen == ["train.csv", "test.csv", "ood.csv"]
+
+    def test_identity_input_trains_exactly_the_head(self, monkeypatch):
+        # the frozen input map leads model.flat; each step gets the rest
+        real, sizes = tfm.adamw_step, set()
+
+        def spying(model, grad, state, **kwargs):
+            sizes.add(grad.size)
+            real(model, grad, state, **kwargs)
+
+        monkeypatch.setattr(tfm, "adamw_step", spying)
+        cfg = small_config(depth=0, d_hat=4, heads=1, m_h=1, m_v=1, ff=1,
+                           grod_enabled="false", epochs=1)
+        rng = np.random.default_rng(5)
+        train = FeatureBatch(rng.standard_normal((60, 4)),
+                             np.repeat([1, 2], 30))
+        model, _, _ = harness.train_model(cfg, 5, train, 2,
+                                          identity_input=True)
+        head = [v for k, v in model.params.items() if k.startswith("head.")]
+        assert list(model.params) == ["input.W", "input.b", "head.W3",
+                                      "head.b3", "head.W4", "head.b4"]
+        size, = sizes
+        trainable = model.flat[model.flat.size - size:]
+        np.testing.assert_array_equal(
+            trainable, np.concatenate([v.ravel() for v in head]))
+        assert all(v.base is model.flat for v in model.params.values())
+        assert size == sum(v.size for v in head)
+        np.testing.assert_array_equal(model.params["input.W"], np.eye(4))
+        assert not model.params["input.b"].any()
 
     def test_input_map_stays_identity(self, tmp_path):
         # the frozen input map gets neither gradient steps nor weight decay

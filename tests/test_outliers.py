@@ -17,9 +17,8 @@ from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
                              class_distances, factor_snapshot,
                              filter_fake_ood, grod_augment_batch,
                              id_reference_distances, initialize_state,
-                             load_grod_state, one_hot, sample_fake_ood,
-                             save_grod_state, select_classes, soft_labels,
-                             update_centers)
+                             one_hot, sample_fake_ood, select_classes,
+                             soft_labels, update_centers)
 from oodkit.projections import (DegenerateScatter, lda_fit, mine_boundary,
                                 pca_fit)
 
@@ -884,18 +883,6 @@ class TestAugmentBatch:
         assert [c.tolist() for c, _ in fitted] == [[3, 7, 9]]
         assert fitted[0][1] == 2
         assert mined == [8, 3]       # the batch in PCA, class 3 in LDA
-
-    def test_state_round_trip(self, tmp_path):
-        _, state = self.run_post_warmup(seed=28)
-        save_grod_state(state, tmp_path / "state.npz")
-        clone = load_grod_state(tmp_path / "state.npz")
-        np.testing.assert_array_equal(clone.mu[0], state.mu[0])
-        np.testing.assert_array_equal(clone.cov[0], state.cov[0])
-        assert clone.dist[0] == state.dist[0]
-        np.testing.assert_array_equal(clone.tracked, state.tracked)
-        for c in tracked_classes(state):
-            np.testing.assert_array_equal(clone.mu[c], state.mu[c])
-            assert clone.dist[c] == state.dist[c]
 
 
 class TestStackedStateMatchesDictOracle:

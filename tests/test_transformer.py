@@ -206,61 +206,142 @@ class TestClassify:
         assert predictions([0.0, 1.0], 0.5, 0.5) == 2
 
 
+def sgd_oracle(params, grads, lr, weight_decay=0.0):
+    """Per-name SGD over dict parameters: steps the names in grads only."""
+    for name, g in grads.items():
+        p = params[name]
+        p -= lr * (g + weight_decay * p)
+
+
+def adamw_oracle(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999,
+                 eps=1e-8, weight_decay=5e-2):
+    """Per-name AdamW over dict parameters and dict moments `state["m"]`,
+    `state["v"]`: steps the names in grads only."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, g in grads.items():
+        p = params[name]
+        state["m"][name] = beta1 * state["m"][name] + (1 - beta1) * g
+        state["v"][name] = beta2 * state["v"][name] + (1 - beta2) * g * g
+        m_hat = state["m"][name] / bc1
+        v_hat = state["v"][name] / bc2
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+
+
+def flat_grad(model, grads):
+    """The gradients in grads as one vector in the model's flat order."""
+    return np.concatenate([grads[k].ravel() for k in model.params
+                           if k in grads])
+
+
 class TestOptimizers:
     def test_sgd_no_gradient_no_decay(self):
         model = small_model(16)
-        before = {k: v.copy() for k, v in model.params.items()}
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-        tfm.sgd_step(model, grads, lr=0.1, weight_decay=0.0)
-        for k in before:
-            np.testing.assert_array_equal(model.params[k], before[k])
+        before = model.flat.copy()
+        tfm.sgd_step(model, np.zeros_like(model.flat), lr=0.1,
+                     weight_decay=0.0)
+        np.testing.assert_array_equal(model.flat, before)
 
     def test_sgd_scalar_update(self):
         model = small_model(17)
-        model.params = {"w": np.array([2.0])}
-        tfm.sgd_step(model, {"w": np.array([1.0])}, lr=0.1)
-        np.testing.assert_allclose(model.params["w"], [1.9])
+        model.flat = np.array([2.0])
+        tfm.sgd_step(model, np.array([1.0]), lr=0.1)
+        np.testing.assert_allclose(model.flat, [1.9])
 
     def test_adamw_first_step_textbook(self):
         model = small_model(18)
-        model.params = {"w": np.array([1.0])}
-        state = tfm.AdamWState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
+        model.flat = np.array([1.0])
+        state = tfm.AdamWState(m=np.zeros(1), v=np.zeros(1))
         g = 0.5
-        tfm.adamw_step(model, {"w": np.array([g])}, state, lr=0.01,
+        tfm.adamw_step(model, np.array([g]), state, lr=0.01,
                        beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected = 1.0 - 0.01 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.1 * 1.0)
-        np.testing.assert_allclose(model.params["w"], [expected], rtol=1e-12)
+        np.testing.assert_allclose(model.flat, [expected], rtol=1e-12)
 
     def test_adamw_deterministic(self):
         runs = []
         for _ in range(2):
             model = small_model(19)
             state = tfm.adamw_init(model)
-            grads = {k: np.full_like(v, 0.01)
-                     for k, v in model.params.items()}
             for _ in range(3):
-                tfm.adamw_step(model, grads, state)
-            runs.append({k: v.copy() for k, v in model.params.items()})
-        for k in runs[0]:
-            np.testing.assert_array_equal(runs[0][k], runs[1][k])
+                tfm.adamw_step(model, np.full_like(model.flat, 0.01), state)
+            runs.append(model.flat.copy())
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_steps_leave_params_without_grads_untouched(self):
-        # weight decay must not move a parameter that has no gradient
+        # weight decay must not move the frozen leading input map
         for step in ("sgd", "adamw"):
             model = small_model(20)
             before = {k: v.copy() for k, v in model.params.items()}
-            grads = {k: np.full_like(v, 0.01) for k, v in
-                     model.params.items() if not k.startswith("input.")}
+            n_in = model.params["input.W"].size + model.params["input.b"].size
+            grad = np.full(model.flat.size - n_in, 0.01)
             if step == "sgd":
-                tfm.sgd_step(model, grads, lr=0.1, weight_decay=0.5)
+                tfm.sgd_step(model, grad, lr=0.1, weight_decay=0.5)
             else:
-                tfm.adamw_step(model, grads, tfm.adamw_init(model), lr=0.1,
+                tfm.adamw_step(model, grad, tfm.adamw_init(model), lr=0.1,
                                weight_decay=0.5)
             for k in before:
                 moved = not np.array_equal(model.params[k], before[k])
-                assert moved == (k in grads), (step, k)
+                assert moved == (not k.startswith("input.")), (step, k)
+
+    def test_params_are_views_of_the_flat_vector_in_order(self):
+        model = small_model(21)
+        assert model.flat.shape == (sum(v.size for v in
+                                        model.params.values()),)
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in model.params.values()]),
+            model.flat)
+        for value in model.params.values():
+            assert value.base is model.flat
+
+    def test_init_draws_as_per_name_arrays(self):
+        # one draw per `.W*` parameter in `param_shapes` order, zero biases
+        budget = tfm.Budget(d_hat=3, h=2, m_h=2, m_V=2, r=4)
+        model = tfm.init_model(2, 3, 2, budget, 3, seed=22)
+        rng = np.random.Generator(np.random.Philox(22))
+        for name, shape in tfm.param_shapes(2, 3, 2, budget, 3).items():
+            want = (rng.uniform(-0.1, 0.1, size=shape)
+                    if name.split(".")[1].startswith("W") else np.zeros(shape))
+            np.testing.assert_array_equal(model.params[name], want)
+
+    @pytest.mark.parametrize("frozen", [(), ("input.W", "input.b")])
+    @pytest.mark.parametrize("step", ["sgd", "adamw"])
+    def test_flat_update_bitwise_equal_to_per_name_loop(self, step, frozen):
+        model = small_model(23)
+        params = {k: v.copy() for k, v in model.params.items()}
+        state = tfm.adamw_init(model)
+        oracle = {"t": 0, **{key: {k: np.zeros_like(v)
+                                   for k, v in params.items()}
+                             for key in ("m", "v")}}
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()
+                     if k not in frozen}
+            if step == "sgd":
+                tfm.sgd_step(model, flat_grad(model, grads), lr=0.05,
+                             weight_decay=0.1)
+                sgd_oracle(params, grads, lr=0.05, weight_decay=0.1)
+            else:
+                tfm.adamw_step(model, flat_grad(model, grads), state,
+                               lr=0.05, weight_decay=0.1)
+                adamw_oracle(params, grads, oracle, lr=0.05,
+                             weight_decay=0.1)
+        for k, value in params.items():
+            np.testing.assert_array_equal(model.params[k], value)
+        n_frozen = sum(params[k].size for k in frozen)
+        np.testing.assert_array_equal(model.flat[:n_frozen],
+                                      small_model(23).flat[:n_frozen])
+        if step == "adamw":
+            assert state.t == oracle["t"] == 50
+            np.testing.assert_array_equal(state.m, flat_grad(model,
+                                                             oracle["m"]))
+            np.testing.assert_array_equal(state.v, flat_grad(model,
+                                                             oracle["v"]))
+            assert not state.m[:n_frozen].any()
+            assert not state.v[:n_frozen].any()
 
 
 class TestCheckpoint:
