@@ -21,8 +21,8 @@ from . import postprocess as post
 from . import synthdata
 from . import transformer as tfm
 from .metrics import id_accuracy
-from .outliers import (FALLBACK_REASONS, GrodConfig, GrodState,
-                       grod_augment_batch, one_hot)
+from .outliers import (FALLBACK_REASONS, GrodState, grod_augment_batch,
+                       one_hot)
 
 REPORT_SCHEMA_VERSION = 1
 SCORERS = ("msp", "energy", "vim")
@@ -58,7 +58,8 @@ MINIMUMS = {"seed": 0, "batch_size": 2, "epochs": 1, "depth": 0, "d_hat": 1,
             "heads": 1, "m_h": 1, "m_v": 1, "ff": 1, "warmup_batches": 0,
             "num": 0, "pca_axes": 0, "lda_axes": 0, "n_train_per_class": 2,
             "n_test_per_class": 1, "n_ood": 1, "classes": 2, "dim": 2,
-            "n_per_class": 2, "weight_decay": 0}
+            "n_per_class": 2, "weight_decay": 0, "gamma": 0,
+            "lambda_filter": 0}
 CHOICES = {"task": ("mixture2d", "ingest"), "optimizer": ("adamw", "sgd"),
            "scorer": SCORERS}
 
@@ -66,8 +67,9 @@ CHOICES = {"task": ("mixture2d", "ingest"), "optimizer": ("adamw", "sgd"),
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One field per config key.  `parse`/`from_file` read the raw strings
-    once; `__post_init__` checks the ranges and builds `grod`, the outlier
-    engine's config.  The hash reads the values as written."""
+    once; `__post_init__` checks the ranges.  The outlier engine reads its
+    hyperparameters from this config.  The hash reads the values as
+    written."""
 
     task: str = "mixture2d"
     seed: int = 0
@@ -120,9 +122,12 @@ class ExperimentConfig:
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise FormatError(f"{key} must be one of {'/'.join(allowed)}")
-        for key in ("lr", "temperature", "separation"):
+        for key in ("lr", "temperature", "separation", "a", "gamma_opt"):
             if getattr(self, key) <= 0:
                 raise FormatError(f"{key} must be > 0")
+        for key in ("gamma", "gamma_opt"):
+            if getattr(self, key) > 1:
+                raise FormatError(f"{key} must be <= 1")
         if not 0 < self.val_fraction < 1:
             raise FormatError("val_fraction must be in (0, 1)")
         for key in ("sweep_depths", "sweep_seeds"):
@@ -130,13 +135,6 @@ class ExperimentConfig:
                 raise FormatError(f"{key} must not be empty")
         if any(s < 0 for s in self.sweep_seeds):
             raise FormatError("sweep_seeds must be >= 0")
-        try:    # from the outlier-engine fields that the config has
-            grod = GrodConfig(**{f.name: getattr(self, f.name)
-                                 for f in dataclasses.fields(GrodConfig)
-                                 if hasattr(self, f.name)})
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-        object.__setattr__(self, "grod", grod)
         object.__setattr__(self, "_raw", {})
 
     @classmethod
@@ -387,7 +385,7 @@ def train_model(config, seed, train_batch, n_id_classes,
                                        f"hidden features not finite")
             if config.grod_enabled:
                 f_all, labels_all, info = grod_augment_batch(
-                    feats, yb, grod_state, config.grod, grod_rng)
+                    feats, yb, grod_state, config, grod_rng)
             else:
                 f_all, labels_all = feats, one_hot(yb, k)
                 info = {"warmup": False, "n_fake": 0, "fallback": None}
@@ -629,7 +627,8 @@ def _load_checkpoint(path, width, k):
     except (ValueError, KeyError, TypeError, EOFError,
             zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not an oodkit checkpoint") from exc
-    for name, want, got in (("d_hat0", width, model.d_hat0),
+    width_name = "d_hat0" if model.tau == 1 else "d_hat0*tau"
+    for name, want, got in ((width_name, width, model.d_hat0 * model.tau),
                             ("n_classes", k + 1, model.n_classes)):
         if got != want:
             raise FormatError(f"{path}: {name} expected {want} from the "

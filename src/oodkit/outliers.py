@@ -10,7 +10,8 @@ of all class moments), pushes them outward to get outlier centers, samples
 Gaussian candidates around those centers, deletes the ID-like ones by a
 Mahalanobis margin, caps the survivors, and attaches distance-ratio soft
 labels over K+1 classes.  Every covariance is regularized by the fixed
-ridge numerics.EPS0 before it is factored.
+ridge numerics.EPS0 before it is factored.  The hyperparameters are the
+fields of the experiment config, harness.ExperimentConfig.
 """
 
 import math
@@ -36,25 +37,6 @@ FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
 
 
 @dataclass
-class GrodConfig:
-    a: float = 0.1                 # boundary extension length, > 0
-    gamma: float = 0.1             # loss mix weight, in [0, 1]
-    gamma_opt: float = 0.1         # EMA rate for centers/covs/dists, (0, 1]
-    num: int = 0                   # candidates per cluster group, 0 -> auto
-    warmup_batches: int = 5
-    lambda_filter: float = 0.1     # filter margin weight, >= 0
-    pca_axes: int = 0              # 0 -> min(s, 8)
-    lda_axes: int = 0              # 0 -> min(K-1, 4)
-
-    def __post_init__(self):
-        for name, ok in (("a", self.a > 0), ("gamma", 0 <= self.gamma <= 1),
-                         ("gamma_opt", 0 < self.gamma_opt <= 1),
-                         ("lambda_filter", self.lambda_filter >= 0)):
-            if not ok:
-                raise ValueError(f"{name} out of range: {getattr(self, name)}")
-
-
-@dataclass
 class GrodState:
     """Statistics stacked over the K+1 centers, None until warmup ends:
     `mu` (K+1, d), `cov` (K+1, d, d), reference distances `dist` (K+1,)
@@ -75,14 +57,15 @@ class GrodState:
         return self.mu is not None
 
 
-def select_classes(class_counts, batch_size, n_id_classes):
-    """Budgeted class subset: kappa = min(|eligible|, max(1, floor(2B/K))),
-    top-kappa classes by count, ties broken toward smaller class index."""
-    eligible = sorted(c for c, n in class_counts.items() if n > 1)
-    kappa = min(len(eligible),
-                max(1, (2 * batch_size) // n_id_classes))
-    ranked = sorted(eligible, key=lambda c: (-class_counts[c], c))
-    return kappa, sorted(ranked[:kappa])
+def select_classes(count):
+    """(eligible, subset) from batch_moments' (K+1,) counts, count[0] the
+    batch size B: the classes with 2 rows or more, and the top kappa =
+    min(|eligible|, max(1, floor(2B/K))) of them by count, ties broken
+    toward smaller class index; both in increasing class order."""
+    eligible = np.flatnonzero(count[1:] > 1) + 1
+    kappa = min(len(eligible), max(1, (2 * int(count[0])) // (len(count) - 1)))
+    ranked = eligible[np.argsort(-count[eligible], kind="stable")]
+    return eligible, sorted(ranked[:kappa].tolist())
 
 
 def _ema(old, new, rate):
@@ -168,42 +151,34 @@ def build_ood_centers(boundaries, state, a):
     """Extend each boundary point outward from its center by length a.
 
     boundaries: list of (rows (m_i, d), center row: 0 global, c class c).
-    Returns (centers (m, d), provenance (m,)), one row per boundary point.
+    Returns (centers (m, d), sizes), one center per boundary point, each
+    boundary's points a group of sizes[i] consecutive centers.
     """
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
     points = np.vstack([rows for rows, _ in boundaries])
-    provenance = np.concatenate([np.full(len(rows), center)
-                                 for rows, center in boundaries])
-    diff = points - state.mu[provenance]
+    sizes = np.array([len(rows) for rows, _ in boundaries])
+    diff = points - state.mu[np.repeat([c for _, c in boundaries], sizes)]
     # one dot product per row: bitwise equal to np.linalg.norm of each
     norm = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0]
-    return points + a * (diff / (norm + 1e-7)), provenance
+    return points + a * (diff / (norm + 1e-7)), sizes
 
 
 def sample_fake_ood(ood_centers, a, num, rng):
-    """Per provenance group, in increasing row order, draw num points
-    ~ N(center, (a/3) I) round-robin over that group's centers, given
-    build_ood_centers' (centers, provenance), whose groups are contiguous
-    and in increasing key order.  The noise of all groups is one draw.
-    Returns the same pair."""
-    centers, provenance = ood_centers
-    if len(centers) == 0:
-        raise ValueError("no outlier centers")
-    bounds = np.flatnonzero(provenance[1:] != provenance[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    keys = provenance[starts]
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("provenance groups not contiguous and increasing")
-    sizes = np.concatenate((bounds, [len(provenance)])) - starts
+    """Per group of build_ood_centers' (centers, sizes), in order, draw
+    num points ~ N(center, (a/3) I) round-robin over the group's centers.
+    The noise of all groups is one draw.  Returns the candidates."""
+    centers, sizes = ood_centers
+    if len(sizes) == 0 or np.min(sizes) < 1:
+        raise ValueError(f"outlier center groups must not be empty: {sizes}")
+    starts = np.cumsum(sizes) - sizes
     picks = starts[:, None] + np.arange(num) % sizes[:, None]
-    noise = rng.standard_normal((len(starts) * num, centers.shape[1]))
-    return (centers[picks.ravel()] + math.sqrt(a / 3.0) * noise,
-            np.repeat(keys, num))
+    noise = rng.standard_normal((len(sizes) * num, centers.shape[1]))
+    return centers[picks.ravel()] + math.sqrt(a / 3.0) * noise
 
 
-def filter_fake_ood(candidates, state, lambda_filter, batch_size,
-                    n_id_classes, rng, subset, snapshot):
+def filter_fake_ood(candidates, state, lambda_filter, batch_size, rng,
+                    subset, snapshot):
     """Delete ID-like candidates by the Mahalanobis margin, then randomly
     downsample the survivors to at most floor(B/K) + 2 points.  Each
     candidate is measured against the global center when subset is empty,
@@ -221,13 +196,13 @@ def filter_fake_ood(candidates, state, lambda_filter, batch_size,
     kept_idx = np.flatnonzero(dist_ood >= (1.0 + margin) * dist_ref)
     if kept_idx.size == 0:
         raise AllFiltered("no candidate survived the Mahalanobis margin")
-    cap = batch_size // n_id_classes + 2
+    cap = batch_size // state.n_id_classes + 2
     if kept_idx.size > cap:
         kept_idx = np.sort(rng.choice(kept_idx, size=cap, replace=False))
     return candidates[kept_idx]
 
 
-def soft_labels(points, state, n_id_classes, snapshot):
+def soft_labels(points, state, snapshot):
     """Distance-ratio soft labels over K+1 classes, normalized to sum 1.
 
     Per tracked class j the raw label is exp(ratio_j - 1) with
@@ -236,7 +211,7 @@ def soft_labels(points, state, n_id_classes, snapshot):
     exp(1 - max_j ratio_j).  The normalized result is the softmax of those
     exponents, which keeps far points concentrated on K+1 without overflow.
     """
-    k = n_id_classes
+    k = state.n_id_classes
     dists = class_distances(np.asarray(points, dtype=float), snapshot)
     ratios = np.where(state.tracked[1:],
                       state.dist[1:] / np.maximum(dists[:, 1:], 1e-12),
@@ -287,9 +262,8 @@ def grod_augment_batch(f, y, state, config, rng):
 
     state.batch_index += 1
     moments = batch_moments(f, y, k)
-    counts = {int(c): int(moments.count[c])
-              for c in np.flatnonzero(moments.count[1:]) + 1}
-    kappa, subset = select_classes(counts, batch_size, k)
+    eligible, subset = select_classes(moments.count)
+    kappa = len(subset)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     try:
         snapshot = update_centers(state, f, y, moments, subset,
@@ -303,30 +277,29 @@ def grod_augment_batch(f, y, state, config, rng):
     s = f.shape[1]
     p_pca = min(config.pca_axes or min(s, 8), s, batch_size - 1)
     boundaries = [(f[mine_boundary(f, pca_fit(moments, p_pca))], 0)]
-    n_eligible = sum(1 for n in counts.values() if n >= 2)
-    if n_eligible >= 2:    # then kappa > 0 too
-        p_lda = min(config.lda_axes or min(k - 1, 4), n_eligible - 1)
+    if len(eligible) >= 2:    # then kappa > 0 too
+        p_lda = min(config.lda_axes or min(k - 1, 4), len(eligible) - 1)
         try:
             basis = lda_fit(moments, p_lda)
         except DegenerateScatter:
             info["fallback"] = "degenerate_scatter"
-        else:   # lda_fit's classes are select_classes' eligible ones
+        else:   # lda_fit's classes are the eligible ones
             for c in subset:
                 rows = f[y == c]
                 boundaries.append((rows[mine_boundary(rows, basis)], c))
 
     centers = build_ood_centers(boundaries, state, config.a)
     num = config.num or max(8, math.ceil(batch_size / (kappa + 1)))
-    candidates, _ = sample_fake_ood(centers, config.a, num, rng)
+    candidates = sample_fake_ood(centers, config.a, num, rng)
     try:
         kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                               batch_size, k, rng, subset, snapshot)
+                               batch_size, rng, subset, snapshot)
     except AllFiltered:
         info["fallback"] = "all_filtered"
         return f, id_labels, info
 
     # with kappa > 0, update_centers tracked the subset's classes
-    fake_labels = (soft_labels(kept, state, k, snapshot)
+    fake_labels = (soft_labels(kept, state, snapshot)
                    if kappa > 0 else one_hot(np.full(len(kept), k + 1), k))
     info["n_fake"] = len(kept)
     return (np.vstack([f, kept]), np.vstack([id_labels, fake_labels]), info)

@@ -14,6 +14,7 @@ from .numerics import (NotPositiveDefinite, TooFewSamples,
                        regularized_cholesky, tril_inverse)
 
 LDA_RANK_TOL = 1e-10   # an LDA eigenvalue below this share of the top is 0
+LDA_FISHER_FLOOR = 1e-12   # a top Fisher ratio at or below this is rounding
 
 
 class DegenerateScatter(Exception):
@@ -58,7 +59,9 @@ def lda_fit(moments, p):
     Sb = D D^T, D's columns sqrt(n_c) (mu_c - mu), has rank <= C: with
     Sw + EPS0*I = L L^T and B = L^-1 D, Sb v = lambda Sw v is the C x C
     eigh(B^T B) a = lambda a, v = L^-T B a / sqrt(lambda).  Of the top p
-    axes those with lambda <= LDA_RANK_TOL * lambda_max are dropped."""
+    axes those with lambda <= LDA_RANK_TOL * lambda_max are dropped.  Equal
+    class means give lambda_max ~1e-32, real batches 1e-4 and up: a
+    lambda_max <= LDA_FISHER_FLOOR raises DegenerateScatter."""
     classes = np.flatnonzero(moments.count[1:] >= 2) + 1
     if len(classes) < 2:
         raise DegenerateScatter(
@@ -73,7 +76,7 @@ def lda_fit(moments, p):
         vals, a = np.linalg.eigh(b.T @ b)
     except (NotPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise DegenerateScatter(str(exc)) from exc
-    if not vals[-1] > 0:
+    if not vals[-1] > LDA_FISHER_FLOOR:
         raise DegenerateScatter("class means coincide")
     top = np.flatnonzero(vals > LDA_RANK_TOL * vals[-1])[::-1][:p]
     vecs = linv.T @ (b @ a[:, top]) / np.sqrt(vals[top])

@@ -118,7 +118,7 @@ def forward_trunk(model, x):
         h_next = att + np.einsum("dr,nrt->ndt", w2, relu) + b2[None, :, None]
         layers.append((h, k_, q_, v_, s, av, att, z, relu))
         h = h_next
-    return h, {"xpe": xpe, "layers": layers, "hidden": h}
+    return h, {"xpe": xpe, "layers": layers}
 
 
 def head_forward(model, hidden):

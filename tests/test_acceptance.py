@@ -20,7 +20,7 @@ from oodkit import metrics as metrics_mod
 from oodkit import transformer as tfm
 from oodkit.loss import batch_loss_and_grad
 from oodkit.numerics import batch_moments, mahalanobis_sq, regularized_inverse
-from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
+from oodkit.outliers import (AllFiltered, GrodState,
                              build_ood_centers, filter_fake_ood,
                              initialize_state, sample_fake_ood,
                              select_classes, soft_labels, update_centers)
@@ -232,7 +232,7 @@ def test_criterion_5_metric_oracles(capsys):
 
 
 def test_criterion_6_filter_invariants(capsys):
-    config = GrodConfig()
+    config = harness.ExperimentConfig()
     violations = []
     batches_checked = 0
     for i in range(50):
@@ -252,15 +252,13 @@ def test_criterion_6_filter_invariants(capsys):
         y = rng.integers(1, k + 1, size=batch_size)
         for c in range(1, k + 1):
             f[y == c] += spread * c
-        counts = {int(c): int(n)
-                  for c, n in zip(*np.unique(y, return_counts=True))}
-        kappa, subset = select_classes(counts, batch_size, k)
         moments = batch_moments(f, y, k)
+        _, subset = select_classes(moments.count)
         snapshot = update_centers(state, f, y, moments, subset,
                                   config.gamma_opt)
 
         boundaries = [(f[mine_boundary(f, pca_fit(moments, 2))], 0)]
-        if kappa > 0:
+        if subset:
             try:
                 basis = lda_fit(moments, 1)
                 for c in subset:
@@ -276,10 +274,10 @@ def test_criterion_6_filter_invariants(capsys):
                 violations.append(f"batch {i}: extension {dist:.3f} > a")
 
         grng = np.random.Generator(np.random.Philox(4000 + i))
-        candidates, _ = sample_fake_ood(ood_centers, config.a, 16, grng)
+        candidates = sample_fake_ood(ood_centers, config.a, 16, grng)
         try:
             kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                                   batch_size, k, grng, subset, snapshot)
+                                   batch_size, grng, subset, snapshot)
         except AllFiltered:
             continue
         batches_checked += 1
@@ -305,7 +303,7 @@ def test_criterion_6_filter_invariants(capsys):
             d, ref = nearest(v)
             if d < (1.0 + margin) * ref - 1e-9:
                 violations.append(f"batch {i}: retention inequality broken")
-        labels = soft_labels(kept, state, k, snapshot) if subset else None
+        labels = soft_labels(kept, state, snapshot) if subset else None
         if labels is not None and np.max(
                 np.abs(labels.sum(axis=1) - 1.0)) > 1e-8:
             violations.append(f"batch {i}: soft-label rows do not sum to 1")

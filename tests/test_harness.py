@@ -51,13 +51,13 @@ class TestExperimentConfig:
                                       "grod_enabled": "off"})
         assert (cfg.epochs, cfg.lr, cfg.sweep_seeds) == (3, 0.005, (4, 5))
         assert cfg.grod_enabled is False
-        assert cfg.grod.num == 0 and cfg.grod.gamma == cfg.gamma
+        assert cfg.num == 0 and not hasattr(cfg, "grod")
         assert cfg.budget == tfm.Budget(d_hat=2, h=2, m_h=1, m_V=1, r=4)
 
     def test_replace_revalidates(self):
         cfg = ExperimentConfig.parse({"epochs": "3"})
         wide = dataclasses.replace(cfg, d_hat=10, m_v=5, gamma=0.0)
-        assert wide.budget.d_hat == 10 and wide.grod.gamma == 0.0
+        assert wide.budget.d_hat == 10 and wide.gamma == 0.0
         for key, value in (("epochs", 0), ("gamma", 1.5), ("task", "foo"),
                            ("lr", float("inf"))):
             with pytest.raises(FormatError, match=rf"^{key}\b"):
@@ -85,7 +85,9 @@ class TestExperimentConfig:
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
         ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1"),
-        ("weight_decay", "-50"), ("sweep_seeds", ""), ("sweep_depths", ",")])
+        ("weight_decay", "-50"), ("sweep_seeds", ""), ("sweep_depths", ","),
+        ("lambda_filter", "-0.1"), ("gamma_opt", "1.5"), ("gamma", "-0.1"),
+        ("a", "-1")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
             ExperimentConfig.parse({key: value})
@@ -1103,14 +1105,16 @@ class TestEvalCheckpoint:
         err = self.eval_error(tmp_path, capsys, path)
         assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
 
-    @pytest.mark.parametrize("d_hat0,k,name,want,got", [
-        (8, 4, "d_hat0", 2, 8), (2, 4, "n_classes", 3, 5)])
-    def test_shape_mismatch(self, tmp_path, capsys, d_hat0, k, name, want,
-                            got):
-        # e.g. a head-only s=8 ingest checkpoint on the 2-d mixture
+    @pytest.mark.parametrize("d_hat0,tau,k,name,want,got", [
+        (8, 1, 4, "d_hat0", 2, 8), (2, 1, 4, "n_classes", 3, 5),
+        (2, 2, 2, "d_hat0*tau", 2, 4)])
+    def test_shape_mismatch(self, tmp_path, capsys, d_hat0, tau, k, name,
+                            want, got):
+        # e.g. a head-only s=8 ingest checkpoint on the 2-d mixture, or a
+        # tau=2 one, which reads d_hat0 * tau = 4 features per row
         path = tmp_path / "other.npz"
         budget = tfm.Budget(d_hat=d_hat0, h=1, m_h=1, m_V=1, r=1)
-        tfm.save_model(tfm.init_model(d_hat0, 1, 0, budget, k, 0), path)
+        tfm.save_model(tfm.init_model(d_hat0, tau, 0, budget, k, 0), path)
         err = self.eval_error(tmp_path, capsys, path)
         assert err == (f"error: FormatError: {path}: {name} expected {want} "
                        f"from the feature files, found {got}")

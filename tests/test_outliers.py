@@ -1,6 +1,7 @@
 """Tests for the synthetic-outlier engine: class selection, EMA statistics,
 boundary extension, candidate sampling, filtering and soft labels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodkit import outliers
+from oodkit.harness import ExperimentConfig, FormatError
 from oodkit.numerics import (Moments, batch_moments, mahalanobis_sq,
                              mahalanobis_sq_rows, regularized_inverse,
                              sample_covariance, softmax, tril_inverse)
-from oodkit.outliers import (AllFiltered, GrodConfig, GrodState,
+from oodkit.outliers import (AllFiltered, GrodState,
                              UninitializedState, build_ood_centers,
                              class_distances, factor_snapshot,
                              filter_fake_ood, grod_augment_batch,
@@ -185,6 +187,16 @@ def ref_moments(f, y, k, eps0=1e-4):
     return Moments(count=count, mean=mean, cov=cov)
 
 
+def ref_select_classes(class_counts, batch_size, n_id_classes):
+    """The dict-based class selection: {class: count} of the classes
+    present, returns (kappa, sorted subset)."""
+    eligible = sorted(c for c, n in class_counts.items() if n > 1)
+    kappa = min(len(eligible),
+                max(1, (2 * batch_size) // n_id_classes))
+    ranked = sorted(eligible, key=lambda c: (-class_counts[c], c))
+    return kappa, sorted(ranked[:kappa])
+
+
 def ref_boundary(rows, basis):
     return [rows[i] for i in mine_boundary(rows, basis)]
 
@@ -213,17 +225,17 @@ def ref_sample_fake_ood(ood_centers, a, num, rng):
 
 
 def loop_sample_fake_ood(ood_centers, a, num, rng):
-    """One noise draw per provenance group, groups in increasing key
-    order, round-robin over each group's centers."""
-    centers, provenance = ood_centers
-    keys = np.unique(provenance)
-    points = []
-    for key in keys:
-        members = centers[provenance == key]
+    """One noise draw per group of consecutive centers, groups in order,
+    round-robin over each group's centers."""
+    centers, sizes = ood_centers
+    points, start = [], 0
+    for size in sizes:
+        members = centers[start:start + size]
+        start += size
         points.append(members[np.arange(num) % len(members)]
                       + math.sqrt(a / 3.0)
                       * rng.standard_normal((num, centers.shape[1])))
-    return np.vstack(points), np.repeat(keys, num)
+    return np.vstack(points)
 
 
 def ref_augment(f, y, state, config, rng):
@@ -240,7 +252,7 @@ def ref_augment(f, y, state, config, rng):
         return f, id_labels, {"warmup": True, "n_fake": 0, "kappa": 0,
                               "fallback": None}
     counts = {int(c): int(m) for c, m in zip(*np.unique(y, return_counts=True))}
-    kappa, subset = select_classes(counts, n, k)
+    kappa, subset = ref_select_classes(counts, n, k)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     snap = ref_update_centers(state, f, y, subset, config.gamma_opt)
     moments = ref_moments(f, y, k)
@@ -301,34 +313,56 @@ def random_cov(rng, dim):
     return (q * vals) @ q.T
 
 
+def count_vector(class_counts, batch_size, n_id_classes):
+    """batch_moments' (K+1,) count layout: the batch size, then per class."""
+    count = np.zeros(n_id_classes + 1, dtype=int)
+    count[0] = batch_size
+    for c, n in class_counts.items():
+        count[c] = n
+    return count
+
+
 class TestSelectClasses:
+    def select(self, class_counts, batch_size, n_id_classes):
+        eligible, subset = select_classes(
+            count_vector(class_counts, batch_size, n_id_classes))
+        return len(eligible), subset
+
     def test_full_budget(self):
         counts = {c: 7 for c in range(1, 11)}
-        kappa, subset = select_classes(counts, 64, 10)
-        assert kappa == 10
-        assert subset == list(range(1, 11))
+        assert self.select(counts, 64, 10) == (10, list(range(1, 11)))
 
     def test_no_eligible_classes(self):
-        kappa, subset = select_classes({1: 1, 2: 0}, 64, 10)
-        assert kappa == 0
-        assert subset == []
+        assert self.select({1: 1, 2: 0}, 64, 10) == (0, [])
 
     def test_tiny_batch_picks_largest(self):
-        counts = {5: 3, 7: 9, 9: 2}
-        kappa, subset = select_classes(counts, 4, 100)
-        assert kappa == 1
-        assert subset == [7]
+        assert self.select({5: 3, 7: 9, 9: 2}, 4, 100) == (3, [7])
 
     def test_count_ties_break_to_smaller_index(self):
-        counts = {1: 5, 2: 5, 3: 5}
-        kappa, subset = select_classes(counts, 2, 4)
-        assert kappa == 1
-        assert subset == [1]
+        assert self.select({1: 5, 2: 5, 3: 5}, 2, 4) == (3, [1])
 
     def test_singletons_excluded(self):
-        counts = {1: 1, 2: 10, 3: 1, 4: 4}
-        _, subset = select_classes(counts, 64, 4)
+        eligible, subset = select_classes(
+            count_vector({1: 1, 2: 10, 3: 1, 4: 4}, 64, 4))
+        assert eligible.tolist() == [2, 4]
         assert 1 not in subset and 3 not in subset
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_dict_reference(self, seed):
+        # few distinct counts, so ties are common; 0 (absent) and 1
+        # (singleton) counts are drawn often, K from 1 to 12
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 13))
+        per_class = rng.choice([0, 1, 2, 3, 5], size=k)
+        batch_size = int(per_class.sum()) + int(rng.integers(0, 3))
+        counts = {c: int(n) for c, n in enumerate(per_class, start=1) if n}
+        eligible, subset = select_classes(
+            count_vector(counts, batch_size, k))
+        kappa, want = ref_select_classes(counts, batch_size, k)
+        assert (len(subset), subset) == (kappa, want)
+        assert all(type(c) is int for c in subset)
+        assert eligible.tolist() == sorted(c for c, n in counts.items()
+                                           if n > 1)
 
 
 class TestUpdateCenters:
@@ -408,10 +442,10 @@ class TestBuildOodCenters:
         rng = np.random.default_rng(6)
         state, _, _ = make_state(rng)
         state.mu[0] = np.zeros(2)
-        centers, provenance = build_ood_centers(
+        centers, sizes = build_ood_centers(
             [(np.array([[2.0, 0.0]]), 0)], state, a=0.1)
         np.testing.assert_allclose(centers[0], [2.1, 0.0], atol=1e-6)
-        assert provenance.tolist() == [0]
+        assert sizes.tolist() == [1]
 
     def test_degenerate_direction_guard(self):
         rng = np.random.default_rng(7)
@@ -429,7 +463,7 @@ class TestBuildOodCenters:
 
     def test_lda_source_labeling(self):
         # each class's rows, mined in the shared LDA basis, are extended
-        # from that class's center and keep the class as provenance
+        # from that class's center, one group of centers per boundary
         rng = np.random.default_rng(10)
         state, f, y = make_state(rng)
         moments = batch_moments(f, y, 2)
@@ -438,9 +472,9 @@ class TestBuildOodCenters:
         for c in (1, 2):
             rows = f[y == c]
             boundaries.append((rows[mine_boundary(rows, basis)], c))
-        centers, provenance = build_ood_centers(boundaries, state, a=0.1)
-        assert provenance.tolist() == [key for rows, key in boundaries
-                                       for _ in rows]
+        centers, sizes = build_ood_centers(boundaries, state, a=0.1)
+        assert sizes.tolist() == [len(rows) for rows, _ in boundaries]
+        provenance = [key for rows, key in boundaries for _ in rows]
         points = np.vstack([rows for rows, _ in boundaries])
         for center, point, key in zip(centers, points, provenance):
             out = point - state.mu[key]
@@ -454,58 +488,54 @@ class TestBuildOodCenters:
 class TestSampleFakeOod:
     def test_single_center_single_sample(self):
         rng = np.random.default_rng(9)
-        pts, prov = sample_fake_ood((np.zeros((1, 2)), np.array([0])),
-                                    a=0.1, num=1, rng=rng)
+        pts = sample_fake_ood((np.zeros((1, 2)), np.array([1])),
+                              a=0.1, num=1, rng=rng)
         assert pts.shape == (1, 2)
-        assert prov.tolist() == [0]
 
     def test_monte_carlo_variance(self):
         rng = np.random.default_rng(10)
-        pts, _ = sample_fake_ood((np.zeros((1, 2)), np.array([0])), a=0.3,
-                                 num=20000, rng=rng)
+        pts = sample_fake_ood((np.zeros((1, 2)), np.array([1])), a=0.3,
+                              num=20000, rng=rng)
         var = pts.var(axis=0)
         np.testing.assert_allclose(var, 0.1, atol=0.01)
 
     def test_round_robin_and_group_counts(self):
         rng = np.random.default_rng(11)
         centers = (np.array([np.zeros(2), np.full(2, 100.0),
-                             np.full(2, -100.0)]), np.array([0, 0, 1]))
-        pts, prov = sample_fake_ood(centers, a=0.01, num=4, rng=rng)
-        assert len(pts) == 8           # 4 per provenance group
-        assert prov.tolist().count(0) == 4 and prov.tolist().count(1) == 4
+                             np.full(2, -100.0)]), np.array([2, 1]))
+        pts = sample_fake_ood(centers, a=0.01, num=4, rng=rng)
+        assert len(pts) == 8           # 4 per group
         near_zero = np.sum(np.linalg.norm(pts[:4], axis=1) < 50)
-        assert near_zero == 2          # round-robin over the two PCA centers
+        assert near_zero == 2          # round-robin over the first group
+        assert np.all(pts[4:] < -50)   # the second group's one center
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_one_draw_bitwise_equal_to_per_group_loop(self, seed):
-        # contiguous groups in increasing key order, as build_ood_centers
-        # emits them, of 1 to 5 centers each, some smaller than num
+        # 1 to 4 groups of 1 to 5 centers each, some smaller than num
         rng = np.random.default_rng(seed)
-        keys = np.sort(rng.choice(6, size=int(rng.integers(1, 5)),
-                                  replace=False))
-        provenance = np.repeat(keys, rng.integers(1, 6, size=len(keys)))
-        centers = rng.standard_normal((len(provenance), 2 + seed % 63))
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+        centers = rng.standard_normal((sizes.sum(), 2 + seed % 63))
         num = int(rng.integers(1, 9))
-        got = sample_fake_ood((centers, provenance), 0.1, num,
+        got = sample_fake_ood((centers, sizes), 0.1, num,
                               np.random.Generator(np.random.Philox(seed)))
         want = loop_sample_fake_ood(
-            (centers, provenance), 0.1, num,
+            (centers, sizes), 0.1, num,
             np.random.Generator(np.random.Philox(seed)))
-        assert got[0].tobytes() == want[0].tobytes()
-        np.testing.assert_array_equal(got[1], want[1])
+        assert got.tobytes() == want.tobytes()
 
-    def test_unordered_provenance_rejected(self):
-        centers = (np.zeros((3, 2)), np.array([0, 2, 0]))
+    @pytest.mark.parametrize("sizes", [[], [2, 0, 1]])
+    def test_empty_group_rejected(self, sizes):
+        centers = (np.zeros((3, 2)), np.array(sizes, dtype=int))
         with pytest.raises(ValueError):
             sample_fake_ood(centers, 0.1, 4, np.random.default_rng(0))
 
     def test_determinism(self):
-        centers = (np.zeros((1, 3)), np.array([0]))
+        centers = (np.zeros((1, 3)), np.array([1]))
         a = sample_fake_ood(centers, 0.1, 5,
-                            np.random.Generator(np.random.Philox(42)))[0]
+                            np.random.Generator(np.random.Philox(42)))
         b = sample_fake_ood(centers, 0.1, 5,
-                            np.random.Generator(np.random.Philox(42)))[0]
+                            np.random.Generator(np.random.Philox(42)))
         np.testing.assert_array_equal(a, b)
 
 
@@ -574,7 +604,7 @@ class TestFilterFakeOod:
         grng = np.random.default_rng(0)
         far = state.mu[1] + 1000.0
         kept = filter_fake_ood(np.vstack([state.mu[1], far]), state,
-                               0.1, 64, 2, grng, [1, 2],
+                               0.1, 64, grng, [1, 2],
                                factor_snapshot(state))
         assert len(kept) == 1
         np.testing.assert_allclose(kept[0], far)
@@ -584,7 +614,7 @@ class TestFilterFakeOod:
         # and survives the >= comparison
         rng = np.random.default_rng(16)
         state, _, _ = make_state(rng)
-        kept = filter_fake_ood(state.mu[0][None] + 500.0, state, 0.1, 64, 2,
+        kept = filter_fake_ood(state.mu[0][None] + 500.0, state, 0.1, 64,
                                np.random.default_rng(1), [1, 2],
                                factor_snapshot(state))
         assert len(kept) == 1
@@ -593,7 +623,7 @@ class TestFilterFakeOod:
         rng = np.random.default_rng(30)
         state, _, _ = make_state(rng)
         cands = np.stack([state.mu[0] + 500.0, state.mu[0] - 500.0])
-        kept = filter_fake_ood(cands, state, 0.0, 64, 2,
+        kept = filter_fake_ood(cands, state, 0.0, 64,
                                np.random.default_rng(1), [1, 2],
                                factor_snapshot(state))
         assert len(kept) == 2
@@ -602,10 +632,10 @@ class TestFilterFakeOod:
         rng = np.random.default_rng(17)
         state, _, _ = make_state(rng, k=2)
         cands = state.mu[0] + 500.0 + rng.standard_normal((100, 2))
-        kept = filter_fake_ood(cands, state, 0.1, 32, 10,
+        kept = filter_fake_ood(cands, state, 0.1, 6,
                                np.random.default_rng(2), [1, 2],
                                factor_snapshot(state))
-        assert len(kept) <= 32 // 10 + 2   # = 5
+        assert len(kept) == 6 // 2 + 2     # = 5, with K = 2
 
     def test_all_filtered_raises(self):
         # with a large filter weight, uniformly distant candidates inflate
@@ -619,7 +649,7 @@ class TestFilterFakeOod:
                                          state.mu[1], inv))
         cands = np.vstack([state.mu[1] + scale * unit] * 5)
         with pytest.raises(AllFiltered):
-            filter_fake_ood(cands, state, 0.5, 64, 2,
+            filter_fake_ood(cands, state, 0.5, 64,
                             np.random.default_rng(3), [1, 2],
                             factor_snapshot(state))
 
@@ -628,7 +658,7 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng)
         cands = state.mu[0] + rng.standard_normal((50, 2)) * 20
         try:
-            kept = filter_fake_ood(cands, state, 0.1, 64, 2,
+            kept = filter_fake_ood(cands, state, 0.1, 64,
                                    np.random.default_rng(4), [1, 2],
                                    factor_snapshot(state))
         except AllFiltered:
@@ -655,15 +685,15 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng, k=k, dim=dim, spread=4.0)
         subset = [] if seed % 4 == 0 else list(range(1, k + 1))
         cands = state.mu[0] + rng.standard_normal((80, dim)) * (4.0 * k)
-        args = (cands, state, 0.1, 64, k)
         snapshot = factor_snapshot(state)
         want = ref_filter_fake_ood(
-            *args, np.random.Generator(np.random.Philox(seed)), subset)
+            cands, state, 0.1, 64, k,
+            np.random.Generator(np.random.Philox(seed)), subset)
         got = filter_fake_ood(
-            *args, np.random.Generator(np.random.Philox(seed)), subset,
-            snapshot)
+            cands, state, 0.1, 64,
+            np.random.Generator(np.random.Philox(seed)), subset, snapshot)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_allclose(soft_labels(got, state, k, snapshot),
+        np.testing.assert_allclose(soft_labels(got, state, snapshot),
                                    ref_soft_labels(want, state, k),
                                    rtol=0, atol=1e-10)
 
@@ -673,14 +703,14 @@ class TestSoftLabels:
         rng = np.random.default_rng(20)
         state, _, _ = make_state(rng)
         pts = rng.standard_normal((10, 2)) * 10
-        labels = soft_labels(pts, state, 2, factor_snapshot(state))
+        labels = soft_labels(pts, state, factor_snapshot(state))
         np.testing.assert_allclose(labels.sum(axis=1), 1.0, atol=1e-8)
         assert np.all(labels > 0)
 
     def test_far_point_concentrates_on_ood(self):
         rng = np.random.default_rng(21)
         state, _, _ = make_state(rng)
-        labels = soft_labels(np.array([state.mu[0] + 1e6]), state, 2,
+        labels = soft_labels(np.array([state.mu[0] + 1e6]), state,
                              factor_snapshot(state))
         assert np.argmax(labels[0]) == 2     # the K+1 slot for K=2
         assert labels[0, 2] >= 0.4
@@ -691,7 +721,7 @@ class TestSoftLabels:
         snapshot = factor_snapshot(state)
         for _ in range(20):
             v = rng.standard_normal(3) * 8
-            labels = soft_labels(np.array([v]), state, 3, snapshot)
+            labels = soft_labels(np.array([v]), state, snapshot)
             per_class = {
                 c: state.dist[c] / max(
                     mahalanobis_sq(v, state.mu[c],
@@ -719,7 +749,7 @@ class TestSoftLabels:
                         / mahalanobis_sq(state.mu[1] + direction,
                                          state.mu[1], inv))
         v = state.mu[1] + scale * direction
-        labels = soft_labels(np.array([v]), state, 2, factor_snapshot(state))
+        labels = soft_labels(np.array([v]), state, factor_snapshot(state))
         np.testing.assert_allclose(labels[0], 1.0 / 3.0, atol=1e-6)
 
 
@@ -732,7 +762,7 @@ class TestOneHot:
 
 class TestAugmentBatch:
     def cfg(self, **kw):
-        return GrodConfig(**kw)
+        return ExperimentConfig(**kw)
 
     def test_warmup_passthrough(self):
         rng = np.random.default_rng(24)
@@ -892,7 +922,7 @@ class TestStackedStateMatchesDictOracle:
         # batch holds one row per class, so no class is eligible and the
         # filter takes the global center route
         rng = np.random.default_rng(700 + dim)
-        config = GrodConfig(warmup_batches=3)
+        config = ExperimentConfig(warmup_batches=3)
         state, ref = GrodState(n_id_classes=k, dim=dim), RefState(k, dim)
         grng = np.random.Generator(np.random.Philox(dim))
         ref_rng = np.random.Generator(np.random.Philox(dim))
@@ -928,13 +958,36 @@ class TestStackedStateMatchesDictOracle:
         assert routes == {(True, False), (False, False), (False, True)}
 
 
-class TestGrodConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GrodConfig(a=0.0)
-        with pytest.raises(ValueError):
-            GrodConfig(gamma=1.5)
-        with pytest.raises(ValueError):
-            GrodConfig(gamma_opt=0.0)
-        with pytest.raises(ValueError):
-            GrodConfig(lambda_filter=-0.1)
+class RecordingConfig:
+    """Proxy of a config that records every attribute read through it."""
+
+    def __init__(self, config):
+        self._config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+def test_engine_reads_only_range_checked_config_fields():
+    # every route of the engine: warmup, the filter's global-center route
+    # (a batch with one row per class) and the class route, with every
+    # auto value (num, pca_axes, lda_axes) set and left at 0
+    config = ExperimentConfig(warmup_batches=2)
+    read = set()
+    for cfg in (config, ExperimentConfig(warmup_batches=2, num=9,
+                                         pca_axes=1, lda_axes=1)):
+        proxy, rng = RecordingConfig(cfg), np.random.default_rng(40)
+        state = GrodState(n_id_classes=3, dim=2)
+        for b in range(5):
+            y = np.arange(1, 4) if b == 3 else np.repeat([1, 2, 3], 8)
+            f = 6.0 * np.eye(3, 2)[y - 1] + rng.standard_normal((len(y), 2))
+            grod_augment_batch(f, y, state, proxy, rng)
+        read |= proxy.read
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert read == {"a", "gamma_opt", "lambda_filter", "num", "pca_axes",
+                    "lda_axes", "warmup_batches"}
+    assert read <= fields
+    for key in sorted(read):    # range-checked: a negative value fails
+        with pytest.raises(FormatError, match=rf"^{key} must be "):
+            dataclasses.replace(config, **{key: -1})

@@ -149,6 +149,20 @@ class TestLdaFit:
         with pytest.raises(DegenerateScatter):
             lda_fit(batch_moments(f, y, 2), 1)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_permuted_rows_raise(self, seed):
+        # two classes of the same 8 rows in different orders: their means
+        # are equal or a rounding apart, and the mean of all rows rounds
+        # apart from them, so the top Fisher ratio is ~1e-32, not 0
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((8, 2 + seed % 2))
+        f = np.vstack([rows, rows[rng.permutation(8)]])
+        m = batch_moments(f, np.repeat([1, 2], 8), 2)
+        if seed == 0:   # a case with exactly equal class means
+            np.testing.assert_array_equal(m.mean[1], m.mean[2])
+        with pytest.raises(DegenerateScatter):
+            lda_fit(m, 1)
+
     @pytest.mark.parametrize("s,k,rank", [(2, 4, 2), (3, 3, 1)])
     def test_only_positive_lambda_axes_return(self, s, k, rank):
         # p = k - 1 exceeds rank(Sb): at s=2 with four classes, and with
