@@ -11,18 +11,26 @@ import numpy as np
 
 from . import harness
 
+# subcommand -> (the function that runs it, its options besides --config,
+# --seed and --out); it is called as function(config, seed, out, **options)
+COMMANDS = {"gen-data": (harness.cmd_gen_data, ()),
+            "train": (harness.cmd_train, ()),
+            "eval": (harness.cmd_eval, ("checkpoint",)),
+            "sweep-capacity": (harness.cmd_sweep_capacity, ()),
+            "ingest": (harness.cmd_ingest, ())}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="oodkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "train", "eval", "sweep-capacity", "ingest"):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
-        if name == "eval":
-            p.add_argument("--checkpoint", default=None)
+        for option in options:
+            p.add_argument(f"--{option}", default=None)
     return parser
 
 
@@ -37,16 +45,9 @@ def main(argv=None):
             config = (harness.ExperimentConfig.from_file(args.config)
                       if args.config else harness.ExperimentConfig())
             seed = args.seed if args.seed is not None else config.seed
-            if args.command == "gen-data":
-                harness.cmd_gen_data(config, seed, args.out)
-            elif args.command == "train":
-                harness.cmd_train(config, seed, args.out)
-            elif args.command == "eval":
-                harness.cmd_eval(config, seed, args.out, args.checkpoint)
-            elif args.command == "sweep-capacity":
-                harness.cmd_sweep_capacity(config, seed, args.out)
-            elif args.command == "ingest":
-                harness.cmd_ingest(config, seed, args.out)
+            run, options = COMMANDS[args.command]
+            run(config, seed, args.out,
+                **{option: getattr(args, option) for option in options})
     except Exception as exc:  # single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,9 @@
-"""Experiment orchestration: the typed config (which also carries the model
-shape), feature-file I/O, the fine-tuning loop with synthetic-outlier
+"""Experiment orchestration: the typed config, the model shape it gives,
+feature-file I/O, the fine-tuning loop with synthetic-outlier
 augmentation, evaluation, the capacity sweep, and JSON report emission.
-Configs derived with `dataclasses.replace` (ingest's head-only model, the
-sweep's rows) are range-checked again."""
+`task=ingest` trains the head-only model that `model_shape` states; the
+sweep's configs, derived with `dataclasses.replace`, are range-checked
+again."""
 
 import dataclasses
 import hashlib
@@ -189,11 +190,6 @@ class ExperimentConfig:
     def hash(self):
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
-    @property
-    def budget(self):
-        return tfm.Budget(d_hat=self.d_hat, h=self.heads, m_h=self.m_h,
-                          m_V=self.m_v, r=self.ff)
-
 
 # ---------------------------------------------------------------------------
 # feature-file I/O
@@ -222,15 +218,16 @@ def _parse_rows(lines, dim):
 
 
 def _read_header(path, line):
-    """(dim, classes, rows) from a feature file's first line."""
+    """(dim, classes, rows) from a feature file's first line, which names
+    each of the three keys exactly once."""
     if not line:
         raise FormatError(f"{path}: empty file")
     line = line.rstrip("\n")
-    header = {}
     try:
-        for part in line.split(","):
-            key, _, val = part.partition("=")
-            header[key] = int(val)
+        parts = [part.partition("=") for part in line.split(",")]
+        header = {key: int(val) for key, _, val in parts}
+        if len(parts) != 3:    # so with the three keys, each once
+            raise KeyError("unknown or repeated key")
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}:1: bad header {line!r}") from exc
@@ -325,13 +322,22 @@ def _val_quality(model, val_x, val_y, k):
                        val_y)
 
 
-def train_model(config, seed, train_batch, n_id_classes,
-                identity_input=False):
-    """Fine-tuning loop shared by the 2-d task and the ingestion path; the
-    model has the config's depth and budget, the features' width as input,
-    and with `identity_input` a frozen identity input map.  Each step joins
-    the gradients into one vector and updates the tail of `model.flat` that
-    it covers; a frozen input map leads the vector and gets no step, no decay.
+def model_shape(config, width):
+    """(depth, budget) of the model trained on `width`-wide features: for
+    task=ingest only the head, on a frozen identity input map (depth 0,
+    d_hat = width, the other budget entries 1); else the config's."""
+    if config.task == "ingest":
+        return 0, tfm.Budget(d_hat=width, h=1, m_h=1, m_V=1, r=1)
+    return config.depth, tfm.Budget(config.d_hat, config.heads, config.m_h,
+                                    config.m_v, config.ff)
+
+
+def train_model(config, seed, train_batch, n_id_classes):
+    """Fine-tuning loop shared by the 2-d task and the ingestion path, on
+    the `model_shape` model with the features' width as input.  Each step
+    joins the gradients into one vector and updates the tail of
+    `model.flat` that it covers; the frozen input map of a head-only model
+    leads the vector and gets no gradient, no step and no decay.
 
     Returns (model, grod_state, log), the model as it is after the last
     configured epoch.  Each log row's `val_quality` is the held-out ID
@@ -343,11 +349,11 @@ def train_model(config, seed, train_batch, n_id_classes,
     k = n_id_classes
     tau = 1
     d_hat0 = train_batch.features.shape[1]
-    budget = config.budget
-    model = tfm.init_model(d_hat0, tau, config.depth, budget, k, seed * 7 + 1)
-    if identity_input:    # in place, so the parameters stay views of flat
-        model.params["input.W"][...] = np.eye(budget.d_hat, d_hat0)
-    trainable = list(model.params)[2 if identity_input else 0:]
+    depth, budget = model_shape(config, d_hat0)
+    model = tfm.init_model(d_hat0, tau, depth, budget, k, seed * 7 + 1)
+    head_only = config.task == "ingest"
+    if head_only:    # in place, so the parameters stay views of flat
+        model.params["input.W"][...] = np.eye(d_hat0)
 
     grod_state = (GrodState(n_id_classes=k, dim=budget.d_hat * tau)
                   if config.grod_enabled else None)
@@ -397,11 +403,12 @@ def train_model(config, seed, train_batch, n_id_classes,
             if not (math.isfinite(l1) and math.isfinite(l2)):
                 raise TrainingDiverged(f"epoch {epoch}, batch {n_batches}: "
                                        f"loss not finite")
-            head_grads, dhidden = tfm.head_backward(model, hidden_all, g,
-                                                    dlogits)
-            grads = tfm.trunk_backward(model, cache, dhidden[:idx.size])
-            grads.update(head_grads)
-            grad = np.concatenate([grads[name].ravel() for name in trainable])
+            grads, dhidden = tfm.head_backward(model, hidden_all, g, dlogits)
+            if not head_only:
+                grads.update(tfm.trunk_backward(model, cache,
+                                                dhidden[:idx.size]))
+            grad = np.concatenate([grads[name].ravel()
+                                   for name in model.params if name in grads])
             if use_adamw:
                 tfm.adamw_step(model, grad, opt_state, lr=config.lr,
                                weight_decay=config.weight_decay)
@@ -470,33 +477,35 @@ def _vim_calibration(model, train_batch, k):
 
 
 def _score_set(model, batch, k, scorer, calib, temperature):
-    """(adjusted logits, scores) of one set, scored a block at a time."""
-    adjusted, scores = [], []
+    """(predictions, scores) of one set, a block at a time; a prediction is
+    the argmax of the row's adjusted logits, counted from 1."""
+    preds, scores = [], []
     for hidden, logits in _forward_blocks(model, batch.features):
-        adjusted.append(post.adjust_logits(logits, k))
-        scores.append(_scores(scorer, adjusted[-1], logits, hidden, calib,
+        adjusted = post.adjust_logits(logits, k)
+        preds.append(np.argmax(adjusted, axis=1) + 1)
+        scores.append(_scores(scorer, adjusted, logits, hidden, calib,
                               temperature))
-    return np.vstack(adjusted), np.concatenate(scores)
+    return np.concatenate(preds), np.concatenate(scores)
 
 
 def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                    scorer="vim", temperature=1.0):
-    """Metrics plus a per-sample score report for the ID test and OOD sets.
-    Beyond its inputs it holds the (n, K) adjusted logits, the (n,) scores
-    and one forward block."""
+    """Metrics plus the scores and threshold of the ID test and OOD sets.
+    Beyond its inputs it holds the (n,) predictions and scores and one
+    forward block."""
     k = n_id_classes
     calib = None
     if scorer == "vim":    # only ViM calibrates on the train rows
         calib = _vim_calibration(model, train_batch, k)
-    test_adj, id_scores = _score_set(model, test_batch, k, scorer, calib,
-                                     temperature)
-    ood_adj, ood_scores = _score_set(model, ood_batch, k, scorer, calib,
-                                     temperature)
+    test_preds, id_scores = _score_set(model, test_batch, k, scorer, calib,
+                                       temperature)
+    _, ood_scores = _score_set(model, ood_batch, k, scorer, calib,
+                               temperature)
 
     report = post.score_report(np.concatenate([id_scores, ood_scores]),
-                               np.vstack([test_adj, ood_adj]), id_scores)
+                               id_scores)
     summary = metrics_mod.MetricSummary(
-        id_acc=id_accuracy(np.argmax(test_adj, axis=1) + 1, test_batch.labels),
+        id_acc=id_accuracy(test_preds, test_batch.labels),
         fpr_at_95=metrics_mod.fpr_at_tpr(id_scores, ood_scores),
         auroc=metrics_mod.auroc(id_scores, ood_scores),
         aupr_in=metrics_mod.aupr_in(id_scores, ood_scores),
@@ -529,15 +538,11 @@ def cmd_gen_data(config, seed, out_dir):
         k, dim, npc = config.classes, config.dim, config.n_per_class
         sep = config.separation
         full = synthdata.gen_feature_set(k, dim, npc + npc // 2, sep, seed)
-        train_rows, test_rows = [], []
-        for c in range(1, k + 1):
-            rows = np.nonzero(full.labels == c)[0]
-            train_rows.extend(rows[:npc])
-            test_rows.extend(rows[npc:])
-        train = synthdata.FeatureBatch(full.features[train_rows],
-                                       full.labels[train_rows])
-        test = synthdata.FeatureBatch(full.features[test_rows],
-                                      full.labels[test_rows])
+        x, y = full.features.reshape(k, -1, dim), full.labels.reshape(k, -1)
+        train = synthdata.FeatureBatch(x[:, :npc].reshape(-1, dim),
+                                       y[:, :npc].ravel())
+        test = synthdata.FeatureBatch(x[:, npc:].reshape(-1, dim),
+                                      y[:, npc:].ravel())
         ood_dir = -np.ones(dim) / math.sqrt(dim)
         ood_feats = (sep * 1.5 * ood_dir
                      + np.random.Generator(np.random.Philox(seed + 2))
@@ -589,19 +594,12 @@ def _check_vim_rows(config, out_dir, train, width):
                           f"{width}, found {n}")
 
 
-def cmd_train(config, seed, out_dir):
-    return _train(config, seed, out_dir, _load_dataset(out_dir))
-
-
-def _train(config, seed, out_dir, dataset):
-    train, _, _, k = dataset
-    ingest = config.task == "ingest"
-    run_config = dataclasses.replace(    # head-only: identity input, no blocks
-        config, depth=0, d_hat=train.features.shape[1], heads=1, m_h=1,
-        m_v=1, ff=1) if ingest else config
-    _check_vim_rows(config, out_dir, train, run_config.d_hat)
-    model, state, log = train_model(run_config, seed, train, k,
-                                    identity_input=ingest)
+def cmd_train(config, seed, out_dir, dataset=None):
+    """Trains on `dataset` (as `_load_dataset` returns it) or out_dir's."""
+    train, _, _, k = dataset or _load_dataset(out_dir)
+    _check_vim_rows(config, out_dir, train,
+                    model_shape(config, train.features.shape[1])[1].d_hat)
+    model, state, log = train_model(config, seed, train, k)
     if state is not None and not state.initialized:
         print(f"warning: outlier generation never initialized "
               f"(warmup_batches={config.warmup_batches}, "
@@ -654,12 +652,8 @@ def _load_checkpoint(path, width, k):
     return model
 
 
-def cmd_eval(config, seed, out_dir, checkpoint=None):
-    return _eval(config, seed, out_dir, _load_dataset(out_dir), checkpoint)
-
-
-def _eval(config, seed, out_dir, dataset, checkpoint=None):
-    train, test, ood, k = dataset
+def cmd_eval(config, seed, out_dir, checkpoint=None, dataset=None):
+    train, test, ood, k = dataset or _load_dataset(out_dir)
     model = _load_checkpoint(checkpoint
                              or os.path.join(out_dir, "checkpoint.npz"),
                              train.features.shape[1], k)
@@ -667,23 +661,14 @@ def _eval(config, seed, out_dir, dataset, checkpoint=None):
     summary, report = evaluate_model(
         model, train, test, ood, k, scorer=config.scorer,
         temperature=config.temperature)
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config_hash": config.hash(),
-        "seed": seed,
-        "metrics": summary.to_dict(),
-        "per_set": {
-            "id_test": {"n": int(test.features.shape[0]),
-                        "id_acc": summary.id_acc},
-            "ood": {"n": int(ood.features.shape[0]),
-                    "fpr_at_95": summary.fpr_at_95,
-                    "auroc": summary.auroc,
-                    "aupr_in": summary.aupr_in,
-                    "aupr_out": summary.aupr_out},
-        },
-        "threshold": report.threshold,
-    }
-    _write_json(os.path.join(out_dir, "report.json"), payload)
+    metrics = summary.to_dict()
+    ood_metrics = {key: v for key, v in metrics.items() if key != "id_acc"}
+    _write_json(os.path.join(out_dir, "report.json"), {
+        "schema_version": REPORT_SCHEMA_VERSION, "config_hash": config.hash(),
+        "seed": seed, "metrics": metrics, "threshold": report.threshold,
+        "per_set": {"id_test": {"n": len(test.labels),
+                                "id_acc": metrics["id_acc"]},
+                    "ood": {"n": len(ood.labels), **ood_metrics}}})
     return summary
 
 
@@ -696,7 +681,8 @@ def cmd_sweep_capacity(config, seed, out_dir):
     class, and per-class mean top-softmax scores.
     """
     os.makedirs(out_dir, exist_ok=True)
-    ce_only = dataclasses.replace(config, grod_enabled=False, gamma=0.0)
+    ce_only = dataclasses.replace(config, task="mixture2d",
+                                  grod_enabled=False, gamma=0.0)
     narrow = dict(d_hat=2, heads=2, m_h=1, m_v=1, ff=4)
     shapes = [("narrow", d, narrow) for d in config.sweep_depths] + [
         ("wide", 2, dict(d_hat=10, heads=1, m_h=1, m_v=5, ff=10))]
@@ -739,5 +725,5 @@ def cmd_ingest(config, seed, out_dir):
     """Head-only training plus evaluation on externally supplied features;
     the feature files are read once, for both."""
     dataset = _load_dataset(out_dir)
-    _train(config, seed, out_dir, dataset)
-    return _eval(config, seed, out_dir, dataset)
+    cmd_train(config, seed, out_dir, dataset)
+    return cmd_eval(config, seed, out_dir, dataset=dataset)

@@ -16,8 +16,6 @@ class DegenerateFeatures(Exception):
 @dataclass
 class ScoreReport:
     scores: np.ndarray            # per-sample, higher = more ID
-    adjusted_logits: np.ndarray   # (n, K) rows summing to 1
-    predictions: np.ndarray       # labels in {1..K+1}
     threshold: float
 
 
@@ -132,12 +130,7 @@ def default_d_prime(s):
     return min(s - 1, 64) if s > 8 else max(1, s // 2)
 
 
-def score_report(scores, adjusted, id_scores_for_threshold, tpr=0.95):
-    """Assemble predictions with the score-based rule at the TPR threshold."""
-    scores = np.asarray(scores, dtype=float)
-    thr = pick_threshold(id_scores_for_threshold, tpr)
-    k = adjusted.shape[1]
-    preds = np.argmax(adjusted, axis=1) + 1
-    preds[scores < thr] = k + 1
-    return ScoreReport(scores=scores, adjusted_logits=adjusted,
-                       predictions=preds, threshold=thr)
+def score_report(scores, id_scores_for_threshold, tpr=0.95):
+    """The scores and the threshold that keeps `tpr` of the ID scores."""
+    return ScoreReport(scores=np.asarray(scores, dtype=float),
+                       threshold=pick_threshold(id_scores_for_threshold, tpr))

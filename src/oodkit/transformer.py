@@ -238,6 +238,10 @@ def load_model(path):
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        sizes = [meta[key] for key in ("d_hat0", "tau", "depth", "n_classes")]
+        if (any(type(v) is not int for v in sizes + meta["budget"])
+                or meta["depth"] < 0):
+            raise ValueError("checkpoint sizes must be ints, depth >= 0")
         params = {k[len("param::"):]: data[k] for k in data.files
                   if k.startswith("param::")}
     return TransformerModel(d_hat0=meta["d_hat0"], tau=meta["tau"],

@@ -52,12 +52,14 @@ class TestExperimentConfig:
         assert (cfg.epochs, cfg.lr, cfg.sweep_seeds) == (3, 0.005, (4, 5))
         assert cfg.grod_enabled is False
         assert cfg.num == 0 and not hasattr(cfg, "grod")
-        assert cfg.budget == tfm.Budget(d_hat=2, h=2, m_h=1, m_V=1, r=4)
+        assert harness.model_shape(cfg, 7) == (
+            2, tfm.Budget(d_hat=2, h=2, m_h=1, m_V=1, r=4))
 
     def test_replace_revalidates(self):
         cfg = ExperimentConfig.parse({"epochs": "3"})
         wide = dataclasses.replace(cfg, d_hat=10, m_v=5, gamma=0.0)
-        assert wide.budget.d_hat == 10 and wide.gamma == 0.0
+        assert harness.model_shape(wide, 7)[1].d_hat == 10
+        assert wide.gamma == 0.0
         for key, value in (("epochs", 0), ("gamma", 1.5), ("task", "foo"),
                            ("lr", float("inf"))):
             with pytest.raises(FormatError, match=rf"^{key}\b"):
@@ -249,8 +251,14 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize("text", [
         "hello\n", "dim=0,classes=2,rows=1\n1\n",
-        "dim=2,classes=0,rows=1\n0.0,0.0,1\n"],
-        ids=["garbled", "dim0", "classes0"])
+        "dim=2,classes=0,rows=1\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=1,dim=2\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=1,dim=3\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=1,extra=9\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=1,dim=2,extra=9\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=1,\n0.0,0.0,1\n"],
+        ids=["garbled", "dim0", "classes0", "repeated", "repeated_differs",
+             "unknown", "repeated_and_unknown", "trailing_comma"])
     def test_bad_header(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -294,6 +302,8 @@ def ref_read_feature_file(path):
     try:
         for part in lines[0].split(","):
             key, _, val = part.partition("=")
+            if key not in ("dim", "classes", "rows") or key in header:
+                raise KeyError(key)
             header[key] = int(val)
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
@@ -640,8 +650,8 @@ class TestTrainEval:
 
     def test_vim_eval_memory_is_bounded(self):
         # ViM and MSP on a 20000x64 head-only model: beyond its inputs,
-        # eval holds the (n, K) adjusted logits, the (n,) scores and one
-        # forward block, nothing that grows with the train rows
+        # eval holds the (n,) predictions and scores and one forward block,
+        # nothing that grows with the train rows
         rng = np.random.default_rng(0)
         train, test, ood = (
             FeatureBatch(rng.standard_normal((n, 64)), np.full(n, label))
@@ -668,17 +678,19 @@ class TestTrainEval:
                             rng.integers(1, 3, size=n))
         ood = FeatureBatch(3.0 + rng.standard_normal((n, 2)), np.full(n, 3))
         model = tfm.init_model(2, 1, 2, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
-        _, report = harness.evaluate_model(model, None, test, ood, 2,
-                                           scorer=scorer, temperature=0.7)
-        want_adj, want_scores = [], []
+        summary, report = harness.evaluate_model(
+            model, None, test, ood, 2, scorer=scorer, temperature=0.7)
+        preds, _ = harness._score_set(model, test, 2, scorer, None, 0.7)
+        want_preds, want_scores = [], []
         for batch in (test, ood):
             _, logits = harness._model_outputs(model, batch.features)
             adjusted = post.adjust_logits(logits, 2)
-            want_adj.append(adjusted)
+            want_preds.append(np.argmax(adjusted, axis=1) + 1)
             want_scores.append(post.msp_score(adjusted) if scorer == "msp"
                                else post.energy_score(logits[:, :2], 0.7))
-        np.testing.assert_array_equal(report.adjusted_logits,
-                                      np.vstack(want_adj))
+        np.testing.assert_array_equal(preds, want_preds[0])
+        assert summary.id_acc == harness.id_accuracy(want_preds[0],
+                                                     test.labels)
         np.testing.assert_array_equal(report.scores,
                                       np.concatenate(want_scores))
 
@@ -879,6 +891,20 @@ class TestSweep:
             assert {"class1", "class2", "ood"} == set(r["mean_msp"])
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert len(payload["rows"]) == len(rows)
+
+    def test_task_ingest_sweeps_the_same_models(self, tmp_path):
+        # the sweep trains full models on the 2-d mixture whatever the task;
+        # only the config hash, which reads the task, differs
+        values = {"n_train_per_class": 40, "n_test_per_class": 20,
+                  "n_ood": 20, "epochs": 1, "batch_size": 32,
+                  "sweep_depths": "1,2", "sweep_seeds": "1,2"}
+        texts = []
+        for task in ("mixture2d", "ingest"):
+            cfg = ExperimentConfig.parse({**values, "task": task})
+            harness.cmd_sweep_capacity(cfg, 0, str(tmp_path / task))
+            text = (tmp_path / task / "sweep.json").read_text()
+            texts.append(text.replace(cfg.hash(), "<hash>"))
+        assert texts[0] == texts[1]
 
     def test_bad_depth_fails_before_training(self, tmp_path, monkeypatch):
         trained = []
@@ -1140,6 +1166,24 @@ class TestEvalCheckpoint:
         err = self.eval_error(tmp_path, capsys, path)
         assert err == f"error: FormatError: {path}: parameter {name} {fault}"
 
+    @pytest.mark.parametrize("key,value", [
+        ("d_hat0", 2.0), ("depth", 1.5), ("n_classes", 3.0), ("depth", -1),
+        ("tau", True), ("budget", [2, 1, 1.0, 1, 1])])
+    def test_meta_sizes_must_be_ints(self, tmp_path, capsys, key, value):
+        # a hand-edited meta: each of these used to load, and some to pass
+        # eval or fail in the first forward pass
+        path = tmp_path / "edited.npz"
+        budget = tfm.Budget(d_hat=2, h=1, m_h=1, m_V=1, r=1)
+        tfm.save_model(tfm.init_model(2, 1, 0, budget, 2, 0), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta[key] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **arrays)
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
+
 
 class TestDatasetChecks:
     """The three feature files must agree, train.csv and test.csv must hold
@@ -1368,13 +1412,12 @@ class TestIngestCommand:
             real(model, grad, state, **kwargs)
 
         monkeypatch.setattr(tfm, "adamw_step", spying)
-        cfg = small_config(depth=0, d_hat=4, heads=1, m_h=1, m_v=1, ff=1,
-                           grod_enabled="false", epochs=1)
+        cfg = small_config(task="ingest", grod_enabled="false", epochs=1)
         rng = np.random.default_rng(5)
         train = FeatureBatch(rng.standard_normal((60, 4)),
                              np.repeat([1, 2], 30))
-        model, _, _ = harness.train_model(cfg, 5, train, 2,
-                                          identity_input=True)
+        model, _, _ = harness.train_model(cfg, 5, train, 2)
+        assert model.depth == 0 and model.budget == tfm.Budget(4, 1, 1, 1, 1)
         head = [v for k, v in model.params.items() if k.startswith("head.")]
         assert list(model.params) == ["input.W", "input.b", "head.W3",
                                       "head.b3", "head.W4", "head.b4"]
@@ -1386,6 +1429,20 @@ class TestIngestCommand:
         assert size == sum(v.size for v in head)
         np.testing.assert_array_equal(model.params["input.W"], np.eye(4))
         assert not model.params["input.b"].any()
+
+    def test_shape_keys_leave_the_checkpoint_unchanged(self, tmp_path):
+        # the head-only model takes its shape from the features alone
+        values = {"task": "ingest", "classes": 3, "dim": 8,
+                  "n_per_class": 40, "epochs": 2, "batch_size": 32,
+                  "lr": 0.01, "warmup_batches": 1, "scorer": "vim"}
+        checkpoints = []
+        for shape in ({}, {"depth": 2, "d_hat": 7, "heads": 3}):
+            cfg = ExperimentConfig.parse({**values, **shape})
+            out = tmp_path / str(len(checkpoints))
+            harness.cmd_gen_data(cfg, 1, str(out))
+            harness.cmd_ingest(cfg, 1, str(out))
+            checkpoints.append((out / "checkpoint.npz").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_input_map_stays_identity(self, tmp_path):
         # the frozen input map gets neither gradient steps nor weight decay

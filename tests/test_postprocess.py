@@ -297,23 +297,8 @@ class TestBlockedResiduals:
 
 
 class TestScoreReport:
-    def test_prediction_is_ood_iff_below_threshold(self):
-        rng = np.random.default_rng(9)
-        n, k = 50, 3
-        scores = rng.standard_normal(n)
-        adjusted = rng.dirichlet(np.ones(k), size=n)
-        report = score_report(scores, adjusted, scores)
-        for s, pred, row in zip(report.scores, report.predictions,
-                                report.adjusted_logits):
-            if s < report.threshold:
-                assert pred == k + 1
-            else:
-                assert pred == np.argmax(row) + 1
-
     def test_threshold_from_id_scores(self):
         id_scores = np.arange(1, 101, dtype=float)
-        report = score_report(np.array([0.5, 50.0]),
-                              np.array([[1.0, 0.0], [1.0, 0.0]]), id_scores)
+        report = score_report([0.5, 50.0], id_scores)
         assert report.threshold == 5.0
-        assert report.predictions[0] == 3
-        assert report.predictions[1] == 1
+        np.testing.assert_array_equal(report.scores, [0.5, 50.0])

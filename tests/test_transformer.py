@@ -4,8 +4,9 @@ classification rules, optimizers and checkpointing."""
 import numpy as np
 import pytest
 
+from oodkit import harness
 from oodkit import transformer as tfm
-from oodkit.postprocess import score_report
+from oodkit.synthdata import FeatureBatch
 
 
 def finite_difference_grads(model, x, dlogits, step=1e-5):
@@ -174,12 +175,18 @@ class TestBackward:
         np.testing.assert_allclose(grads["head.b3"], expected_b3, atol=1e-12)
 
 
-def predictions(logits, score=0.0, threshold=0.0):
-    """score_report's label for one row of K-way logits: argmax + 1, or K+1
-    when the score is below the threshold."""
-    report = score_report([score], np.asarray([logits], dtype=float),
-                          [threshold])
-    return report.predictions[0]
+def predictions(logits):
+    """The label that eval predicts for a row whose K ID logits are
+    `logits` (the OOD logit below them all): a depth-0 model whose head
+    logits are its biases, through the path of the test-set predictions."""
+    logits = np.asarray(logits, dtype=float)
+    k = logits.size
+    model = tfm.init_model(1, 1, 0, tfm.Budget(1, 1, 1, 1, 1), k, seed=0)
+    model.params["head.W3"][...] = 0.0
+    model.params["head.b4"][...] = np.append(logits, logits.min() - 1.0)
+    preds, _ = harness._score_set(model, FeatureBatch(np.zeros((1, 1)), [1]),
+                                  k, "msp", None, 1.0)
+    return preds[0]
 
 
 class TestClassify:
@@ -197,13 +204,6 @@ class TestClassify:
             base = predictions(logits)
             assert predictions(logits + 7.3) == base
             assert predictions(logits * 2.5) == base
-
-    def test_classify_scored_branches(self):
-        # K = 2: a score below the threshold gives K+1, otherwise argmax + 1
-        assert predictions([1.0, 0.0], 0.4, 0.5) == 3
-        assert predictions([0.0, 1.0], 0.9, 0.5) == 2
-        # boundary: score == threshold stays on the argmax branch
-        assert predictions([0.0, 1.0], 0.5, 0.5) == 2
 
 
 def sgd_oracle(params, grads, lr, weight_decay=0.0):
