@@ -3,13 +3,20 @@ feature-file I/O, the fine-tuning loop with synthetic-outlier
 augmentation, evaluation, the capacity sweep, and JSON report emission.
 `task=ingest` trains the head-only model that `model_shape` states; the
 sweep's configs, derived with `dataclasses.replace`, are range-checked
-again."""
+again.  A feature file of two or more PART_BYTES parts is parsed and
+written as row ranges, one per usable core, each range after the first in
+a forked worker; the arrays, the file bytes and the error messages do not
+depend on the split."""
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import os
+import shutil
 import sys
 import warnings
 import zipfile
@@ -194,14 +201,110 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # feature-file I/O
 
+# A file of at least two such parts is read and written as row ranges, one
+# per usable core; each range after the first runs in a forked worker.
+PART_BYTES = 2 << 20
+
+
+def _n_parts(nbytes):
+    """How many ranges a file of `nbytes` is handled as: one per usable core,
+    each at least PART_BYTES; one where there is no os.fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), nbytes // PART_BYTES))
+
+
+def _worker(job, pipe_fd, inherited):
+    """Body of a forked worker: job(pipe) writes its result to the pipe.
+    It ends in os._exit, so it never returns into the caller, runs no
+    atexit handler and flushes no inherited buffer; status 0 only once the
+    whole result is written."""
+    status = 1
+    try:
+        for fd in inherited:    # other workers' pipes: theirs to end
+            os.close(fd)
+        with open(pipe_fd, "wb") as pipe:
+            job(pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Runs each job(pipe) in a forked worker; yields [(pid, pipe), ...],
+    each pipe the unbuffered read end of that worker's result.  On exit
+    every pipe is closed, so a worker still writing ends, and every worker
+    is waited for, also when the caller raised."""
+    workers = []
+    try:
+        for job in jobs:
+            read_fd, write_fd = os.pipe()
+            try:
+                # fork, not spawn: a spawned worker pays for a fresh
+                # interpreter and the imports (about 0.16 s), most of what
+                # the split saves.  The only other threads are OpenBLAS's,
+                # which its pthread_atfork handler stops across the fork,
+                # and a worker calls no BLAS.
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _worker(job, write_fd,
+                        [read_fd] + [pipe.fileno() for _, pipe in workers])
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb", buffering=0)))
+        yield workers
+    finally:
+        for _, pipe in workers:
+            pipe.close()
+        for pid, _ in workers:
+            with contextlib.suppress(ChildProcessError):    # reaped already
+                os.waitpid(pid, 0)
+
+
+def _exit_status(pid):
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _format_rows(features, labels):
+    for row, label in zip(features, labels):
+        cells = ",".join(repr(float(v)) for v in row)
+        yield f"{cells},{int(label)}\n"
+
+
+def _send_rows(features, labels, pipe):
+    pipe.write("".join(_format_rows(features, labels)).encode())
+
+
 def write_feature_file(path, batch, n_id_classes):
+    """The header, then one line per row.  Rows are formatted in
+    `_n_parts(features.nbytes)` ranges: the first here, the others in
+    forked workers that format their whole range in memory before they
+    write it to their pipe, so all ranges are formatted at once; the
+    ranges are written in order, so the bytes do not depend on the split."""
+    features, labels = batch.features, batch.labels
+    n = _n_parts(features.nbytes)
+    bounds = [len(labels) * i // n for i in range(n + 1)]
     try:
         with open(path, "w") as fh:
-            fh.write(f"dim={batch.features.shape[1]},classes={n_id_classes},"
-                     f"rows={batch.features.shape[0]}\n")
-            for row, label in zip(batch.features, batch.labels):
-                cells = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{cells},{int(label)}\n")
+            fh.write(f"dim={features.shape[1]},classes={n_id_classes},"
+                     f"rows={features.shape[0]}\n")
+            with _forked([functools.partial(_send_rows, features[a:b],
+                                            labels[a:b])
+                          for a, b in zip(bounds[1:], bounds[2:])]) as workers:
+                for line in _format_rows(features[:bounds[1]],
+                                         labels[:bounds[1]]):
+                    fh.write(line)
+                fh.flush()
+                for pid, pipe in workers:
+                    shutil.copyfileobj(pipe, fh.buffer)
+                    status = _exit_status(pid)
+                    if status:
+                        raise IoError(f"cannot write {path}: worker {pid} "
+                                      f"exited with status {status}")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -219,15 +322,16 @@ def _parse_rows(lines, dim):
 
 def _read_header(path, line):
     """(dim, classes, rows) from a feature file's first line, which names
-    each of the three keys exactly once."""
+    each of the three keys exactly once, each value in ASCII digits only."""
     if not line:
         raise FormatError(f"{path}: empty file")
     line = line.rstrip("\n")
     try:
         parts = [part.partition("=") for part in line.split(",")]
+        if len(parts) != 3 or not all(    # so with the three keys, each once
+                val.isascii() and val.isdigit() for _, _, val in parts):
+            raise ValueError("not three ASCII decimal integers")
         header = {key: int(val) for key, _, val in parts}
-        if len(parts) != 3:    # so with the three keys, each once
-            raise KeyError("unknown or repeated key")
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}:1: bad header {line!r}") from exc
@@ -239,26 +343,150 @@ def _read_header(path, line):
     return dim, k, rows
 
 
+def _parse_lines(fh, dim):
+    """(table, lines read) of the rest of fh; the table is None when a
+    line fails to parse.  The count includes the empty lines that loadtxt
+    skips."""
+    n_lines = 0
+
+    def lines():
+        nonlocal n_lines
+        for n_lines, line in enumerate(fh, start=1):
+            yield line
+
+    try:
+        table = _parse_rows(lines(), dim)
+    except UnicodeDecodeError:    # a ValueError, but no row fault
+        raise
+    except ValueError:
+        table = None
+    return table, n_lines
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of the file open as `fd`.  It reads with pread,
+    so processes that share the descriptor share no file offset."""
+
+    def __init__(self, fd, start, end):
+        super().__init__()
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        data = os.pread(self.fd, min(len(buf), self.end - self.pos),
+                        self.pos)
+        buf[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _open_range(fd, start, end):
+    """Bytes [start, end) of fd as UTF-8 text, with the file's line rules."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)),
+                            encoding="utf-8")
+
+
+def _row_ranges(fd):
+    """[(start, end), ...]: `_n_parts(size)` byte ranges of the file, fewer
+    where a range would hold no line start.  Each range after the first
+    starts just after a b"\n", so at a line start under the \n, \r\n and \r
+    rules and never inside a UTF-8 character; a file that ends its lines
+    with \r alone stays one range."""
+    size = os.fstat(fd).st_size
+    n = _n_parts(size)
+    cuts = [0]
+    for i in range(1, n):
+        pos = max(cuts[-1], size * i // n)
+        while pos < size:
+            block = os.pread(fd, 1 << 16, pos)
+            if not block:
+                break
+            at = block.find(b"\n")
+            if at >= 0:
+                pos += at + 1
+                break
+            pos += len(block)
+        if pos >= size:
+            break
+        cuts.append(pos)
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _send_parsed(fd, start, end, dim, pipe):
+    """A worker's result for one range: status (0 parsed, 1 rejected), line
+    count and table shape as four int64 words, then the table's float64
+    bytes."""
+    try:
+        with _open_range(fd, start, end) as fh:
+            table, n_lines = _parse_lines(fh, dim)
+    except UnicodeDecodeError:    # the whole-file pass names it
+        table, n_lines = None, 0
+    if table is None:
+        pipe.write(np.array([1, n_lines, 0, 0], np.int64).tobytes())
+        return
+    pipe.write(np.array([0, n_lines, *table.shape], np.int64).tobytes())
+    pipe.write(np.ascontiguousarray(table).data)
+
+
+def _recv(path, pid, pipe, out):
+    """Fill `out` from a worker's pipe; IoError if the pipe ends first."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise IoError(f"cannot read {path}: worker {pid} exited with "
+                          f"status {_exit_status(pid)} before its result")
+        view = view[got:]
+
+
+def _read_ranges(path, fd, ranges):
+    """(dim, k, rows, table, lines read) of a file split into byte ranges:
+    the first, with the header, parsed here and each other one in a forked
+    worker.  The table joins the ranges' tables in order, and is None when
+    a range was rejected or its table is not dim+1 wide."""
+    (start, end), rest = ranges[0], ranges[1:]
+    with _open_range(fd, start, end) as fh:
+        dim, k, rows = _read_header(path, fh.readline())
+        with _forked([functools.partial(_send_parsed, fd, a, b, dim)
+                      for a, b in rest]) as workers:
+            table, n_lines = _parse_lines(fh, dim)
+            ok = table is not None and (table.shape[1] == dim + 1
+                                        or not table.shape[0])
+            counts = []
+            for pid, pipe in workers:
+                head = np.zeros(4, np.int64)
+                _recv(path, pid, pipe, head)
+                status, n, n_rows, width = head.tolist()
+                n_lines += n
+                ok = ok and not status and width == dim + 1
+                counts.append(n_rows)
+            if not ok:
+                return dim, k, rows, None, n_lines
+            joined = np.empty((table.shape[0] + sum(counts), dim + 1))
+            joined[:table.shape[0]] = table
+            at = table.shape[0]
+            for (pid, pipe), n_rows in zip(workers, counts):
+                _recv(path, pid, pipe, joined[at:at + n_rows])
+                at += n_rows
+    return dim, k, rows, joined, n_lines
+
+
 def read_feature_file(path):
     """Returns (FeatureBatch, n_id_classes).  The rows are parsed in one
-    streaming pass; a file that fails it is read again by
-    `_raise_bad_row`, whose FormatError names the offending line."""
+    streaming pass over each of the file's `_row_ranges`, the ranges at
+    once (see `_read_ranges`); a file that fails it is read again, whole,
+    by `_raise_bad_row`, whose FormatError names the offending line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            dim, k, rows = _read_header(path, fh.readline())
-            n_lines = 0    # counts the empty lines that loadtxt skips
-
-            def lines():
-                nonlocal n_lines
-                for n_lines, line in enumerate(fh, start=1):
-                    yield line
-
-            try:
-                table = _parse_rows(lines(), dim)
-            except UnicodeDecodeError:    # a ValueError, but no row fault
-                raise
-            except ValueError:
-                table = None
+            ranges = _row_ranges(fh.fileno())
+            if len(ranges) > 1:
+                dim, k, rows, table, n_lines = _read_ranges(
+                    path, fh.fileno(), ranges)
+            else:
+                dim, k, rows = _read_header(path, fh.readline())
+                table, n_lines = _parse_lines(fh, dim)
         if (table is None or n_lines != rows
                 or table.shape != (rows, dim + 1)
                 or not np.all((table[:, dim] >= 1) & (table[:, dim] <= k + 1))
@@ -615,13 +843,16 @@ def cmd_train(config, seed, out_dir, dataset=None):
 
 
 def _load_checkpoint(path, width, k):
-    """The model saved at path, checked before any forward pass against the
-    feature files' width and class count, and its parameters against the
-    names, shapes and dtype that `init_model` gives for its meta."""
+    """The model saved at path, its parameters checked by `load_model`
+    against those that `init_model` gives for its meta, and the model
+    against the feature files' width and class count, before any forward
+    pass."""
     try:
         model = tfm.load_model(path)
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    except tfm.BadParameter as exc:
+        raise FormatError(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError, EOFError,
             zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not an oodkit checkpoint") from exc
@@ -631,24 +862,6 @@ def _load_checkpoint(path, width, k):
         if got != want:
             raise FormatError(f"{path}: {name} expected {want} from the "
                               f"feature files, found {got}")
-    shapes = tfm.param_shapes(model.d_hat0, model.tau, model.depth,
-                              model.budget, k)
-    for name, shape in shapes.items():
-        value = model.params.get(name)
-        if value is None:
-            fault = "missing"
-        elif value.shape != shape:
-            fault = f"shape {value.shape}, expected {shape}"
-        elif value.dtype != np.float64:
-            fault = f"dtype {value.dtype}, expected float64"
-        elif not np.isfinite(value).all():
-            fault = "not finite"
-        else:
-            continue
-        raise FormatError(f"{path}: parameter {name} {fault}")
-    unexpected = sorted(set(model.params) - set(shapes))
-    if unexpected:
-        raise FormatError(f"{path}: parameter {unexpected[0]} unexpected")
     return model
 
 

@@ -7,6 +7,7 @@ followed by  FF(h) = Att(h) + W2 relu(W1 Att(h) + b1 1^T) + b2 1^T,
 and per-class logits  f_k = W4_k (W3_k h + b3_k)^T + b4_k.
 """
 
+import dataclasses
 import io
 import json
 from dataclasses import dataclass
@@ -41,8 +42,21 @@ class TransformerModel:
     depth: int
     budget: Budget
     n_classes: int          # K + 1
-    params: dict            # name -> ndarray
-    flat: np.ndarray = None     # params' storage; None as loaded
+    params: dict            # name -> ndarray, a view into flat
+    flat: np.ndarray        # the parameters' one storage vector
+
+    def __deepcopy__(self, memo):
+        """A copy whose parameters are views of its own flat vector."""
+        flat, params = _allocate({k: v.shape for k, v in self.params.items()})
+        for name, value in params.items():
+            value[...] = self.params[name]
+        return dataclasses.replace(self, budget=dataclasses.replace(
+            self.budget), params=params, flat=flat)
+
+
+class BadParameter(Exception):
+    """A checkpoint's parameter is missing, unexpected, or not a finite
+    float64 array of the shape that its meta gives."""
 
 
 def param_shapes(d_hat0, tau, depth, budget, n_id_classes):
@@ -60,15 +74,21 @@ def param_shapes(d_hat0, tau, depth, budget, n_id_classes):
     return shapes
 
 
+def _allocate(shapes):
+    """(flat, params): one zeroed vector and, per name in `shapes` order, a
+    view of its part of it."""
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
+    flat = np.zeros(ends[-1])
+    return flat, {name: part.reshape(shape) for (name, shape), part in
+                  zip(shapes.items(), np.split(flat, ends[:-1]))}
+
+
 def init_model(d_hat0, tau, depth, budget, n_id_classes, seed):
     """Fresh model with uniform(-0.1, 0.1) weights (`.W*`) and zero biases
     (`.b*`), each a view into one flat vector in `param_shapes` order."""
     rng = np.random.Generator(np.random.Philox(seed))
-    shapes = param_shapes(d_hat0, tau, depth, budget, n_id_classes)
-    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes.values()])
-    flat = np.zeros(ends[-1])
-    params = {name: part.reshape(shape) for (name, shape), part in
-              zip(shapes.items(), np.split(flat, ends[:-1]))}
+    flat, params = _allocate(param_shapes(d_hat0, tau, depth, budget,
+                                          n_id_classes))
     for name, value in params.items():
         if name.split(".")[1].startswith("W"):
             value[...] = rng.uniform(-0.1, 0.1, size=value.shape)
@@ -234,6 +254,10 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """The model saved at path.  Its parameters must be exactly those that
+    `init_model` makes for its meta, all checked before they are copied
+    into the model's flat vector; the first that is not raises
+    BadParameter."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
@@ -242,8 +266,31 @@ def load_model(path):
         if (any(type(v) is not int for v in sizes + meta["budget"])
                 or meta["depth"] < 0):
             raise ValueError("checkpoint sizes must be ints, depth >= 0")
-        params = {k[len("param::"):]: data[k] for k in data.files
-                  if k.startswith("param::")}
+        budget = Budget(*meta["budget"])
+        shapes = param_shapes(meta["d_hat0"], meta["tau"], meta["depth"],
+                              budget, meta["n_classes"] - 1)
+        saved = {k[len("param::"):]: data[k] for k in data.files
+                 if k.startswith("param::")}
+    for name, shape in shapes.items():
+        value = saved.get(name)
+        if value is None:
+            fault = "missing"
+        elif value.shape != shape:
+            fault = f"shape {value.shape}, expected {shape}"
+        elif value.dtype != np.float64:
+            fault = f"dtype {value.dtype}, expected float64"
+        elif not np.isfinite(value).all():
+            fault = "not finite"
+        else:
+            continue
+        raise BadParameter(f"parameter {name} {fault}")
+    unexpected = sorted(set(saved) - set(shapes))
+    if unexpected:
+        raise BadParameter(f"parameter {unexpected[0]} unexpected")
+    flat, params = _allocate(shapes)    # sized by the arrays just checked
+    for name, value in params.items():
+        value[...] = saved[name]
     return TransformerModel(d_hat0=meta["d_hat0"], tau=meta["tau"],
-                            depth=meta["depth"], budget=Budget(*meta["budget"]),
-                            n_classes=meta["n_classes"], params=params)
+                            depth=meta["depth"], budget=budget,
+                            n_classes=meta["n_classes"], params=params,
+                            flat=flat)

@@ -256,14 +256,22 @@ class TestFeatureFile:
         "dim=2,classes=2,rows=1,dim=3\n0.0,0.0,1\n",
         "dim=2,classes=2,rows=1,extra=9\n0.0,0.0,1\n",
         "dim=2,classes=2,rows=1,dim=2,extra=9\n0.0,0.0,1\n",
-        "dim=2,classes=2,rows=1,\n0.0,0.0,1\n"],
+        "dim=2,classes=2,rows=1,\n0.0,0.0,1\n",
+        "dim=0_2,classes=2,rows=1\n0.0,0.0,1\n",
+        "dim=2,classes=+2,rows=1\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows= 1\n0.0,0.0,1\n",
+        "dim=\u0662,classes=2,rows=1\n0.0,0.0,1\n",
+        "dim=2,classes=2,rows=-1\n0.0,0.0,1\n"],
         ids=["garbled", "dim0", "classes0", "repeated", "repeated_differs",
-             "unknown", "repeated_and_unknown", "trailing_comma"])
+             "unknown", "repeated_and_unknown", "trailing_comma",
+             "underscore", "plus_sign", "space", "arabic_digit", "negative"])
     def test_bad_header(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=r"bad\.csv:1: "):
             read_feature_file(path)
+        assert outcome(ref_read_feature_file, path) == outcome(
+            read_feature_file, path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, cell):
@@ -292,7 +300,7 @@ def ref_read_feature_file(path):
     """The per-row reader that `read_feature_file` replaced, kept verbatim
     as the oracle of its arrays and messages."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -304,6 +312,8 @@ def ref_read_feature_file(path):
             key, _, val = part.partition("=")
             if key not in ("dim", "classes", "rows") or key in header:
                 raise KeyError(key)
+            if not (val.isascii() and val.isdigit()):
+                raise ValueError(val)
             header[key] = int(val)
         dim, k, rows = header["dim"], header["classes"], header["rows"]
     except (ValueError, KeyError) as exc:
@@ -446,39 +456,95 @@ MUTATIONS = {
 }
 
 
+@contextlib.contextmanager
+def split_into(n_ranges):
+    """Feature files read and written as up to n_ranges row ranges whatever
+    their size: each range but the first in a forked worker."""
+    with pytest.MonkeyPatch.context() as mp:
+        if n_ranges > 1:
+            mp.setattr(harness, "PART_BYTES", 1)
+            mp.setattr(os, "sched_getaffinity",
+                       lambda pid: set(range(n_ranges)))
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLITS = pytest.mark.parametrize("n_ranges", [2, 3],
+                                 ids=["2ranges", "3ranges"])
+
+
+def check_valid_file(tmp_path_factory, data, n_ranges):
+    batch, k = data
+    path = tmp_path_factory.mktemp("valid") / "f.csv"
+    with split_into(n_ranges):
+        write_feature_file(path, batch, k)
+        got, k_got = read_feature_file(path)
+    want, k_want = ref_read_feature_file(path)
+    assert k_got == k_want == k
+    assert_bitwise_equal(got, want)
+    assert_bitwise_equal(got, batch)
+
+
+def check_mutated_file(tmp_path, name, ending, final_newline, n_ranges):
+    text = ending.join(mutated(*MUTATIONS[name]))
+    path = tmp_path / "f.csv"
+    path.write_bytes((text + (ending if final_newline else "")).encode())
+    with split_into(n_ranges):
+        got = outcome(read_feature_file, path)
+    want = outcome(ref_read_feature_file, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert name in ("valid", "trailing_blank_line")
+        assert got[1] == want[1]
+        assert_bitwise_equal(got[0], want[0])
+
+
+def mutated_files(test):
+    """Parametrized over every MUTATIONS entry, final line end or not, and
+    lf or crlf line ends."""
+    for mark in (pytest.mark.parametrize("name", list(MUTATIONS)),
+                 pytest.mark.parametrize(
+                     "final_newline", [True, False],
+                     ids=["final_newline", "no_final_newline"]),
+                 pytest.mark.parametrize("ending", ["\n", "\r\n"],
+                                         ids=["lf", "crlf"])):
+        test = mark(test)
+    return test
+
+
 class TestFeatureFileOracle:
     """`read_feature_file` against the per-row reader it replaced: the same
-    arrays, bit for bit, and the same FormatError message."""
+    arrays, bit for bit, and the same FormatError message, with the file
+    read as one row range and, split, as 2 and 3 (a bad line then falls in
+    any of them)."""
 
     @given(valid_feature_sets())
     @settings(max_examples=40, deadline=None)
     def test_valid_files_match_oracle_bitwise(self, tmp_path_factory, data):
-        batch, k = data
-        path = tmp_path_factory.mktemp("valid") / "f.csv"
-        write_feature_file(path, batch, k)
-        got, k_got = read_feature_file(path)
-        want, k_want = ref_read_feature_file(path)
-        assert k_got == k_want == k
-        assert_bitwise_equal(got, want)
-        assert_bitwise_equal(got, batch)
+        check_valid_file(tmp_path_factory, data, 1)
 
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
-    @pytest.mark.parametrize("final_newline", [True, False],
-                             ids=["final_newline", "no_final_newline"])
-    @pytest.mark.parametrize("name", list(MUTATIONS))
+    @SPLITS
+    @given(valid_feature_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_split_valid_files_match_oracle_bitwise(self, tmp_path_factory,
+                                                    n_ranges, data):
+        check_valid_file(tmp_path_factory, data, n_ranges)
+
+    @mutated_files
     def test_mutated_files_match_oracle(self, tmp_path, name, ending,
                                         final_newline):
-        text = ending.join(mutated(*MUTATIONS[name]))
-        path = tmp_path / "f.csv"
-        path.write_bytes((text + (ending if final_newline else "")).encode())
-        got = outcome(read_feature_file, path)
-        want = outcome(ref_read_feature_file, path)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert name in ("valid", "trailing_blank_line")
-            assert got[1] == want[1]
-            assert_bitwise_equal(got[0], want[0])
+        check_mutated_file(tmp_path, name, ending, final_newline, 1)
+
+    @SPLITS
+    @mutated_files
+    def test_split_mutated_files_match_oracle(self, tmp_path, name, ending,
+                                              final_newline, n_ranges):
+        check_mutated_file(tmp_path, name, ending, final_newline, n_ranges)
 
     # Where the grammar differs on purpose: cells are parsed by numpy's C
     # parser, which rejects what only Python's float accepts.  (Empty and
@@ -527,6 +593,90 @@ class TestFeatureFileOracle:
         got, k = read_feature_file(path)
         assert k == 4
         assert_bitwise_equal(got, batch)
+
+
+class TestRowRanges:
+    """Files at or above 2 * PART_BYTES are read and written as row ranges,
+    each after the first in a forked worker."""
+
+    def test_ranges_start_at_line_starts(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes("\r\n".join(base_lines()).encode() + b"\r\n")
+        with split_into(3), open(path, "rb") as fh:
+            ranges = harness._row_ranges(fh.fileno())
+        data = path.read_bytes()
+        assert len(ranges) == 3
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+        for (_, end), (start, _) in zip(ranges, ranges[1:]):
+            assert end == start and data[start - 2:start] == b"\r\n"
+
+    def test_carriage_returns_alone_stay_one_range(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes("\r".join(base_lines()).encode() + b"\r")
+        with split_into(3):
+            with open(path, "rb") as fh:
+                assert len(harness._row_ranges(fh.fileno())) == 1
+            got, k = read_feature_file(path)
+        want, _ = ref_read_feature_file(path)
+        assert k == 2
+        assert_bitwise_equal(got, want)
+
+    def test_written_bytes_do_not_depend_on_the_split(self, tmp_path):
+        rng = np.random.default_rng(11)
+        batch = FeatureBatch(rng.standard_normal((50, 4)),
+                             rng.integers(1, 4, size=50))
+        texts = []
+        for n_ranges in (1, 2, 3):
+            path = tmp_path / f"{n_ranges}.csv"
+            with split_into(n_ranges):
+                write_feature_file(path, batch, 2)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        assert_no_child_left()
+
+    def test_file_under_the_floor_never_forks(self, tmp_path, monkeypatch):
+        def fail():
+            raise AssertionError("forked for a file under the floor")
+
+        rng = np.random.default_rng(12)
+        batch = FeatureBatch(rng.standard_normal((40, 3)),
+                             rng.integers(1, 3, size=40))
+        path = tmp_path / "f.csv"
+        write_feature_file(path, batch, 2)
+        # two cores, and the file and its feature array each a byte or
+        # more under two parts
+        monkeypatch.setattr(harness, "PART_BYTES", max(
+            path.stat().st_size, batch.features.nbytes) // 2 + 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fail)
+        write_feature_file(path, batch, 2)
+        got, _ = read_feature_file(path)
+        assert_bitwise_equal(got, batch)
+
+    @pytest.mark.parametrize("job", ["_send_parsed", "_send_rows"])
+    def test_worker_that_exits_early_raises_ioerror(self, tmp_path,
+                                                    monkeypatch, job):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(base_lines()) + "\n")
+        batch, _ = read_feature_file(path)
+        monkeypatch.setattr(harness, job, lambda *args: os._exit(1))
+        verb = "read" if job == "_send_parsed" else "write"
+        with split_into(2), pytest.raises(
+                IoError, match=rf"^cannot {verb} {path}: worker \d+ exited "
+                               rf"with status 1"):
+            if verb == "read":
+                read_feature_file(path)
+            else:
+                write_feature_file(path, batch, 2)
+        assert_no_child_left()
+
+    def test_bad_line_in_a_workers_range_leaves_no_child(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(mutated(cell(7, 1, "x"))) + "\n")
+        with split_into(2), pytest.raises(
+                FormatError, match=rf"^{path}:7: unparsable row$"):
+            read_feature_file(path)
+        assert_no_child_left()
 
 
 class TestGenData:
@@ -1076,6 +1226,26 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_split_files_run_clean_in_dev_mode(self, tmp_path):
+        # train.csv is over two PART_BYTES parts, so it is written and read
+        # through forked workers; under -X dev -W error a pipe left open
+        # (ResourceWarning) or a fork warning fails the command on stderr
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task=ingest\nclasses=4\ndim=64\nn_per_class=1000\n"
+                       "epochs=1\nscorer=msp\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        for command in ("gen-data", "train", "eval"):
+            run = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m",
+                 "oodkit.cli", command, "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path)],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                text=True)
+            assert (command, run.returncode, run.stderr) == (command, 0, "")
+        assert (tmp_path / "train.csv").stat().st_size >= \
+            2 * harness.PART_BYTES
+        assert (tmp_path / "report.json").exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--seed", "-1",

@@ -1,6 +1,8 @@
 """Tests for the minimal transformer: forward pass, analytic gradients,
 classification rules, optimizers and checkpointing."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,29 @@ class TestCheckpoint:
                 tfm.load_model(path)
         finally:
             tfm.CHECKPOINT_VERSION = old
+
+
+class TestOneRepresentation:
+    def test_step_moves_a_copied_and_a_loaded_model(self, tmp_path):
+        # a step updates model.flat and the forward pass reads model.params,
+        # so a copied or loaded model's params must be views of its flat
+        model = small_model(24)
+        path = tmp_path / "model.npz"
+        tfm.save_model(model, path)
+        x = np.random.default_rng(24).standard_normal((5, 2, 1))
+        want = model.flat.copy()
+
+        def logits(m):
+            return tfm.head_forward(m, tfm.forward_trunk(m, x)[0])[0]
+
+        for other in (copy.deepcopy(model), tfm.load_model(path)):
+            assert all(v.base is other.flat for v in other.params.values())
+            np.testing.assert_array_equal(other.flat, want)
+            before = logits(other)
+            tfm.adamw_step(other, np.full_like(other.flat, 0.01),
+                           tfm.adamw_init(other), lr=0.1)
+            assert not np.array_equal(logits(other), before)
+        np.testing.assert_array_equal(model.flat, want)
 
 
 class TestBudget:
