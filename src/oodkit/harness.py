@@ -3,10 +3,10 @@ feature-file I/O, the fine-tuning loop with synthetic-outlier
 augmentation, evaluation, the capacity sweep, and JSON report emission.
 `task=ingest` trains the head-only model that `model_shape` states; the
 sweep's configs, derived with `dataclasses.replace`, are range-checked
-again.  A feature file of two or more PART_BYTES parts is parsed and
-written as row ranges, one per usable core, each range after the first in
-a forked worker; the arrays, the file bytes and the error messages do not
-depend on the split."""
+again.  Every feature file is parsed and written as row ranges, one per
+usable core and PART_BYTES part, each range after the first in a forked
+worker; the arrays, the file bytes and the error messages do not depend on
+the split.  Only a regular file is read, as it is read by position."""
 
 import contextlib
 import dataclasses
@@ -17,6 +17,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import warnings
 import zipfile
@@ -141,8 +142,8 @@ class ExperimentConfig:
         for key in ("sweep_depths", "sweep_seeds"):
             if not getattr(self, key):
                 raise FormatError(f"{key} must not be empty")
-        if any(s < 0 for s in self.sweep_seeds):
-            raise FormatError("sweep_seeds must be >= 0")
+            if any(v < 0 for v in getattr(self, key)):
+                raise FormatError(f"{key} must be >= 0")
         object.__setattr__(self, "_raw", {})
 
     @classmethod
@@ -155,8 +156,13 @@ class ExperimentConfig:
             if key not in fields:
                 raise FormatError(f"unknown config key: {key}")
             kind, convert = PARSERS[fields[key]]
+            text = str(raw).strip()
             try:
-                typed[key] = convert(str(raw).strip())
+                # int and float also read other scripts' digits and `_`
+                if fields[key] is not str and not (text.isascii()
+                                                   and "_" not in text):
+                    raise ValueError(text)
+                typed[key] = convert(text)
             except (KeyError, ValueError):
                 raise FormatError(f"{key}: expected {kind}, "
                                   f"got {raw!r}") from None
@@ -201,8 +207,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # feature-file I/O
 
-# A file of at least two such parts is read and written as row ranges, one
-# per usable core; each range after the first runs in a forked worker.
+# A file is read and written as row ranges, one per usable core and such
+# part, at least one; each range after the first runs in a forked worker.
 PART_BYTES = 2 << 20
 
 
@@ -431,7 +437,7 @@ def _send_parsed(fd, start, end, dim, pipe):
 
 
 def _recv(path, pid, pipe, out):
-    """Fill `out` from a worker's pipe; IoError if the pipe ends first."""
+    """`out`, filled from a worker's pipe; IoError if the pipe ends first."""
     view = memoryview(out).cast("B")
     while view:
         got = pipe.readinto(view)
@@ -439,59 +445,51 @@ def _recv(path, pid, pipe, out):
             raise IoError(f"cannot read {path}: worker {pid} exited with "
                           f"status {_exit_status(pid)} before its result")
         view = view[got:]
-
-
-def _read_ranges(path, fd, ranges):
-    """(dim, k, rows, table, lines read) of a file split into byte ranges:
-    the first, with the header, parsed here and each other one in a forked
-    worker.  The table joins the ranges' tables in order, and is None when
-    a range was rejected or its table is not dim+1 wide."""
-    (start, end), rest = ranges[0], ranges[1:]
-    with _open_range(fd, start, end) as fh:
-        dim, k, rows = _read_header(path, fh.readline())
-        with _forked([functools.partial(_send_parsed, fd, a, b, dim)
-                      for a, b in rest]) as workers:
-            table, n_lines = _parse_lines(fh, dim)
-            ok = table is not None and (table.shape[1] == dim + 1
-                                        or not table.shape[0])
-            counts = []
-            for pid, pipe in workers:
-                head = np.zeros(4, np.int64)
-                _recv(path, pid, pipe, head)
-                status, n, n_rows, width = head.tolist()
-                n_lines += n
-                ok = ok and not status and width == dim + 1
-                counts.append(n_rows)
-            if not ok:
-                return dim, k, rows, None, n_lines
-            joined = np.empty((table.shape[0] + sum(counts), dim + 1))
-            joined[:table.shape[0]] = table
-            at = table.shape[0]
-            for (pid, pipe), n_rows in zip(workers, counts):
-                _recv(path, pid, pipe, joined[at:at + n_rows])
-                at += n_rows
-    return dim, k, rows, joined, n_lines
+    return out
 
 
 def read_feature_file(path):
-    """Returns (FeatureBatch, n_id_classes).  The rows are parsed in one
-    streaming pass over each of the file's `_row_ranges`, the ranges at
-    once (see `_read_ranges`); a file that fails it is read again, whole,
-    by `_raise_bad_row`, whose FormatError names the offending line."""
+    """Returns (FeatureBatch, n_id_classes).  Each of the file's
+    `_row_ranges` is parsed in one streaming pass, the first (with the
+    header) here and the others at once in forked workers; a file that
+    fails is read again by `_raise_bad_row`, whose FormatError names the
+    offending line.  Both read by position, so only a regular file is
+    read, checked on a non-blocking descriptor: a FIFO fails at once."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            ranges = _row_ranges(fh.fileno())
-            if len(ranges) > 1:
-                dim, k, rows, table, n_lines = _read_ranges(
-                    path, fh.fileno(), ranges)
-            else:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise IoError(f"cannot read {path}: not a regular file")
+            (start, end), *rest = _row_ranges(fd)
+            with _open_range(fd, start, end) as fh:
                 dim, k, rows = _read_header(path, fh.readline())
-                table, n_lines = _parse_lines(fh, dim)
-        if (table is None or n_lines != rows
-                or table.shape != (rows, dim + 1)
-                or not np.all((table[:, dim] >= 1) & (table[:, dim] <= k + 1))
-                or not np.isfinite(table[:, :dim]).all()):
-            _raise_bad_row(path, dim, k, rows)
+                with _forked([functools.partial(_send_parsed, fd, a, b, dim)
+                              for a, b in rest]) as workers:
+                    table, n_lines = _parse_lines(fh, dim)
+                    # each worker's head, as `_send_parsed` sends it
+                    status, n, n_rows, width = np.array(
+                        [_recv(path, pid, pipe, np.zeros(4, np.int64))
+                         for pid, pipe in workers], np.int64).reshape(-1, 4).T
+                    n_lines += int(n.sum())
+                    ok = (table is not None and not status.any()
+                          and (table.shape[1] == dim + 1 or not table.shape[0])
+                          and (width == dim + 1).all())
+                    if ok and workers:    # sized from the parsed row counts
+                        ends = table.shape[0] + np.cumsum(n_rows)
+                        joined = np.empty((ends[-1], dim + 1))
+                        joined[:table.shape[0]] = table
+                        for (pid, pipe), a, b in zip(workers, ends - n_rows,
+                                                     ends):
+                            _recv(path, pid, pipe, joined[a:b])
+                        table = joined
+            if (not ok or n_lines != rows
+                    or table.shape != (rows, dim + 1)
+                    or not np.all((table[:, dim] >= 1)
+                                  & (table[:, dim] <= k + 1))
+                    or not np.isfinite(table[:, :dim]).all()):
+                _raise_bad_row(path, fd, dim, k, rows)
+        finally:
+            os.close(fd)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
     except OSError as exc:
@@ -501,18 +499,18 @@ def read_feature_file(path):
                                   table[:, dim].astype(int)), k
 
 
-def _raise_bad_row(path, dim, k, rows):
-    """Re-read a feature file that the streaming pass rejected and raise
-    the FormatError for its first fault, by physical line: the row count,
-    then each line's field count, cells and label, then the first
-    non-finite cell.  An empty line has one field, so it is rejected."""
-    with open(path, encoding="utf-8") as fh:
+def _raise_bad_row(path, fd, dim, k, rows):
+    """Re-read the feature file open as `fd`, which the streaming pass
+    rejected, and raise the FormatError for its first fault by physical
+    line: the row count, then each line's field count, cells and label,
+    then the first non-finite cell; an empty line has one field: it fails."""
+    with _open_range(fd, 0, math.inf) as fh:    # to the end, as it is now
         fh.readline()
         found = sum(1 for _ in fh)
-        if found != rows:
-            raise FormatError(f"{path}: header promises {rows} rows, "
-                              f"found {found}")
-        fh.seek(0)
+    if found != rows:
+        raise FormatError(f"{path}: header promises {rows} rows, "
+                          f"found {found}")
+    with _open_range(fd, 0, math.inf) as fh:
         fh.readline()
         non_finite = None
         for i, line in enumerate(fh, start=2):
@@ -542,14 +540,6 @@ def _as_inputs(features, d_hat0, tau):
     return np.asarray(features, dtype=float).reshape(-1, d_hat0, tau)
 
 
-def _val_quality(model, val_x, val_y, k):
-    """Held-out ID accuracy of the current model, logged per epoch as a
-    diagnostic; it selects nothing."""
-    _, logits = _model_outputs(model, val_x)
-    return id_accuracy(np.argmax(post.adjust_logits(logits, k), axis=1) + 1,
-                       val_y)
-
-
 def model_shape(config, width):
     """(depth, budget) of the model trained on `width`-wide features: for
     task=ingest only the head, on a frozen identity input map (depth 0,
@@ -568,11 +558,11 @@ def train_model(config, seed, train_batch, n_id_classes):
     leads the vector and gets no gradient, no step and no decay.
 
     Returns (model, grod_state, log), the model as it is after the last
-    configured epoch.  Each log row's `val_quality` is the held-out ID
-    accuracy of that epoch's model, a diagnostic only.  Raises
-    TrainingDiverged, naming the epoch and batch (both counted from 0 as
-    in the log), at the first batch whose hidden features or loss are not
-    finite, and at the end of an epoch whose parameters are not.
+    configured epoch.  Each log row's `val_quality` is the ID accuracy of
+    eval's `_score_set` predictions for the held-out rows, a diagnostic.
+    Raises TrainingDiverged, naming the epoch and batch (both counted from
+    0 as in the log), at the first batch whose hidden features or loss are
+    not finite, and at the end of an epoch whose parameters are not.
     """
     k = n_id_classes
     tau = 1
@@ -594,10 +584,10 @@ def train_model(config, seed, train_batch, n_id_classes):
         raise FormatError(f"val_fraction={config.val_fraction} leaves "
                           f"{n - n_val} of {n} rows for training")
     perm = np.random.Generator(np.random.Philox(seed * 7 + 5)).permutation(n)
-    val_idx, fit_idx = perm[:n_val], perm[n_val:]
-    x_all = _as_inputs(train_batch.features, d_hat0, tau)
-    val_x, val_y = x_all[val_idx], train_batch.labels[val_idx]
-    fit_x, fit_y = x_all[fit_idx], train_batch.labels[fit_idx]
+    val, fit = (synthdata.FeatureBatch(train_batch.features[rows],
+                                       train_batch.labels[rows])
+                for rows in (perm[:n_val], perm[n_val:]))
+    fit_x = _as_inputs(fit.features, d_hat0, tau)
 
     opt_state = tfm.adamw_init(model)
     use_adamw = config.optimizer == "adamw"
@@ -611,7 +601,7 @@ def train_model(config, seed, train_batch, n_id_classes):
             idx = order[start:start + config.batch_size]
             if idx.size < 2:
                 continue
-            xb, yb = fit_x[idx], fit_y[idx]
+            xb, yb = fit_x[idx], fit.labels[idx]
             hidden, cache = tfm.forward_trunk(model, xb)
             feats = hidden.reshape(idx.size, -1)
             if not np.isfinite(feats).all():
@@ -654,11 +644,12 @@ def train_model(config, seed, train_batch, n_id_classes):
                         if not np.isfinite(value).all())
             raise TrainingDiverged(f"epoch {epoch}: parameter {name} "
                                    f"not finite")
+        val_preds, _ = _score_set(model, val, k, "msp", None, 1.0)
         log.append({"epoch": epoch, "loss_l1": ep_l1 / max(1, n_batches),
                     "loss_l2": ep_l2 / max(1, n_batches),
                     "fake_ood_retained": ep_fake,
                     "grod_fallbacks": ep_fallbacks,
-                    "val_quality": _val_quality(model, val_x, val_y, k)})
+                    "val_quality": id_accuracy(val_preds, val.labels)})
     return model, grod_state, log
 
 

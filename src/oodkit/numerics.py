@@ -95,8 +95,19 @@ def sample_covariance(f):
     n = f.shape[0]
     if n < 2:
         raise TooFewSamples(f"need at least 2 rows, got {n}")
-    centered = f - f.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    return scatter_covariance([f], f.mean(axis=0), n)
+
+
+def scatter_covariance(blocks, mean, n):
+    """Unbiased (n-1) covariance about `mean` of the n rows of the (m, s)
+    `blocks`: the sum of their scatters (block - mean)^T (block - mean),
+    which starts at the first one, / (n-1), symmetrized."""
+    scatter = None
+    for rows in blocks:
+        centered = rows - mean
+        part = centered.T @ centered
+        scatter = part if scatter is None else scatter + part
+    cov = scatter / (n - 1)
     return 0.5 * (cov + cov.T)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import pick_threshold
-from .numerics import softmax
+from .numerics import scatter_covariance, softmax
 
 
 class DegenerateFeatures(Exception):
@@ -75,8 +75,8 @@ def vim_calibrate(blocks, d_prime):
     (features, adjusted_logits) row blocks; it is called once per pass, so
     memory is one block plus (s, s) whatever the number of rows:
       1. row count, feature sum and the sum of per-row max logits;
-      2. the (n-1) sample covariance as the sum over blocks of
-         (block - mean)^T (block - mean), for the top-d' principal basis;
+      2. the (n-1) sample covariance, `numerics.scatter_covariance` of
+         the blocks about that mean, for the top-d' principal basis;
       3. the sum and the maximum of the residual norms, where a residual
          is the distance from the centered feature to its projection on
          the basis.
@@ -93,7 +93,8 @@ def vim_calibrate(blocks, d_prime):
     s = mean.shape[0]
     basis = np.zeros((0, s))
     if d_prime > 0:
-        vals, vecs = np.linalg.eigh(_blocked_covariance(blocks, mean, n))
+        vals, vecs = np.linalg.eigh(
+            scatter_covariance((feats for feats, _ in blocks()), mean, n))
         basis = vecs[:, np.argsort(vals)[::-1][:d_prime]].T
     res_sum, res_max = 0.0, 0.0
     for feats, _ in blocks():
@@ -105,17 +106,6 @@ def vim_calibrate(blocks, d_prime):
             "all calibration residuals are zero; reduce d_prime")
     return VimCalibration(principal_basis=basis, feature_mean=mean,
                           alpha=logit_sum / res_sum)
-
-
-def _blocked_covariance(blocks, mean, n):
-    """Unbiased (n-1) covariance of the rows of `blocks()` about `mean`,
-    summed block by block, symmetrized like `sample_covariance`."""
-    cov = np.zeros((mean.shape[0], mean.shape[0]))
-    for feats, _ in blocks():
-        centered = feats - mean
-        cov += centered.T @ centered
-    cov /= n - 1
-    return 0.5 * (cov + cov.T)
 
 
 def vim_score(features, adjusted_logits, calib):

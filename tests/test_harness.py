@@ -87,11 +87,31 @@ class TestExperimentConfig:
         ("n_per_class", "1"), ("n_train_per_class", "1"),
         ("n_test_per_class", "0"), ("n_ood", "0"), ("separation", "0"),
         ("separation", "-12"), ("seed", "-1"), ("sweep_seeds", "1,-1"),
+        ("sweep_depths", "-1"),
         ("weight_decay", "-50"), ("sweep_seeds", ""), ("sweep_depths", ","),
         ("lambda_filter", "-0.1"), ("gamma_opt", "1.5"), ("gamma", "-0.1"),
         ("a", "-1")])
     def test_scorer_and_ranges_rejected_naming_key(self, key, value):
         with pytest.raises(FormatError, match=rf"^{key}\b"):
+            ExperimentConfig.parse({key: value})
+
+    # the non-ASCII and `_` cases of TestFeatureFile.test_bad_header, in an
+    # int, a float and an int-list value; Python's int and float read them
+    @pytest.mark.parametrize("key,kind,value", [
+        ("epochs", "int", "1_0"), ("seed", "int", "1_000"),
+        ("epochs", "int", "\u0661\u0660"), ("epochs", "int", "\u0662"),
+        ("lr", "float", "0_5"), ("lr", "float", "1_000.5"),
+        ("lr", "float", "\u0660.\u0665"), ("lr", "float", "\u0662"),
+        ("sweep_seeds", "int list", "1,0_2"),
+        ("sweep_seeds", "int list", "1,\u0662"),
+        ("sweep_depths", "int list", "\u0661\u0660")],
+        ids=["underscore_int", "underscore_seed", "arabic_int",
+             "arabic_digit_int", "underscore_float", "underscore_decimal",
+             "arabic_decimal", "arabic_digit_float", "underscore_list",
+             "arabic_digit_list", "arabic_list"])
+    def test_numbers_are_ascii_without_underscores(self, key, kind, value):
+        with pytest.raises(FormatError, match=rf"^{key}: expected {kind}, "
+                                              rf"got '{value}'$"):
             ExperimentConfig.parse({key: value})
 
     def test_every_scorer_accepted(self):
@@ -294,6 +314,26 @@ class TestFeatureFile:
         path.write_text("dim=2,classes=2,rows=1\n0.0,0.0,9\n")
         with pytest.raises(FormatError, match="label 9"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("kind", ["fifo", "dev_null", "directory"])
+    def test_non_regular_path_fails_at_once(self, tmp_path, kind):
+        # in a child process with a timeout, so a reader that blocks on a
+        # FIFO with no writer fails the test instead of stalling the suite
+        path = tmp_path / "train.csv"
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "dev_null":
+            path.symlink_to(os.devnull)
+        else:
+            path.mkdir()
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "oodkit.cli", "eval", "--out",
+             str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=30)
+        assert run.returncode == 1
+        assert run.stderr == (f"error: IoError: cannot read {path}: "
+                              f"not a regular file\n")
 
 
 def ref_read_feature_file(path):
@@ -1056,14 +1096,11 @@ class TestSweep:
             texts.append(text.replace(cfg.hash(), "<hash>"))
         assert texts[0] == texts[1]
 
-    def test_bad_depth_fails_before_training(self, tmp_path, monkeypatch):
-        trained = []
-        monkeypatch.setattr(harness, "train_model",
-                            lambda *args, **kw: trained.append(args))
-        cfg = small_config(sweep_depths="1,-1", sweep_seeds="1")
-        with pytest.raises(FormatError, match="^depth must be >= 0"):
-            harness.cmd_sweep_capacity(cfg, 0, str(tmp_path))
-        assert trained == [] and not (tmp_path / "sweep.json").exists()
+    def test_bad_depth_fails_before_training(self):
+        # a negative sweep depth fails when the config loads, naming its
+        # key, so no sweep run can start
+        with pytest.raises(FormatError, match="^sweep_depths must be >= 0$"):
+            small_config(sweep_depths="1,-1", sweep_seeds="1")
 
 
 class TestCli:

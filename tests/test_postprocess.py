@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oodkit import harness
 from oodkit import postprocess as post
-from oodkit.numerics import sample_covariance
+from oodkit.numerics import sample_covariance, scatter_covariance
 from oodkit.postprocess import (DegenerateFeatures, adjust_logits,
                                 default_d_prime, energy_score, msp_score,
                                 score_report, vim_calibrate, vim_score)
@@ -264,7 +264,8 @@ class TestBlockedResiduals:
         mean = train.mean(axis=0)
         np.testing.assert_allclose(calib.feature_mean, mean, rtol=1e-12)
         cov = sample_covariance(train)
-        got = post._blocked_covariance(blocks, calib.feature_mean, n_cal)
+        got = scatter_covariance((feats for feats, _ in blocks()),
+                                 calib.feature_mean, n_cal)
         assert np.max(np.abs(got - cov)) <= 1e-12 * np.max(np.abs(cov))
         vals, vecs = np.linalg.eigh(cov)
         basis = vecs[:, np.argsort(vals)[::-1][:d_prime]].T
