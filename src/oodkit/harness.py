@@ -285,6 +285,26 @@ def _send_rows(features, labels, pipe):
     pipe.write("".join(_format_rows(features, labels)).encode())
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError in the block becomes IoError("cannot write <path>: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _open_regular(path, name):
+    """A descriptor of path, opened without blocking so that a FIFO fails
+    at once, and IoError("cannot read <name>: not a regular file") unless
+    path is one: every file here is read by position."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return fd
+    os.close(fd)
+    raise IoError(f"cannot read {name}: not a regular file")
+
+
 def write_feature_file(path, batch, n_id_classes):
     """The header, then one line per row.  Rows are formatted in
     `_n_parts(features.nbytes)` ranges: the first here, the others in
@@ -294,25 +314,22 @@ def write_feature_file(path, batch, n_id_classes):
     features, labels = batch.features, batch.labels
     n = _n_parts(features.nbytes)
     bounds = [len(labels) * i // n for i in range(n + 1)]
-    try:
-        with open(path, "w") as fh:
-            fh.write(f"dim={features.shape[1]},classes={n_id_classes},"
-                     f"rows={features.shape[0]}\n")
-            with _forked([functools.partial(_send_rows, features[a:b],
-                                            labels[a:b])
-                          for a, b in zip(bounds[1:], bounds[2:])]) as workers:
-                for line in _format_rows(features[:bounds[1]],
-                                         labels[:bounds[1]]):
-                    fh.write(line)
-                fh.flush()
-                for pid, pipe in workers:
-                    shutil.copyfileobj(pipe, fh.buffer)
-                    status = _exit_status(pid)
-                    if status:
-                        raise IoError(f"cannot write {path}: worker {pid} "
-                                      f"exited with status {status}")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _writing(path), open(path, "w") as fh:
+        fh.write(f"dim={features.shape[1]},classes={n_id_classes},"
+                 f"rows={features.shape[0]}\n")
+        with _forked([functools.partial(_send_rows, features[a:b],
+                                        labels[a:b])
+                      for a, b in zip(bounds[1:], bounds[2:])]) as workers:
+            for line in _format_rows(features[:bounds[1]],
+                                     labels[:bounds[1]]):
+                fh.write(line)
+            fh.flush()
+            for pid, pipe in workers:
+                shutil.copyfileobj(pipe, fh.buffer)
+                status = _exit_status(pid)
+                if status:
+                    raise IoError(f"cannot write {path}: worker {pid} "
+                                  f"exited with status {status}")
 
 
 def _parse_rows(lines, dim):
@@ -454,12 +471,10 @@ def read_feature_file(path):
     header) here and the others at once in forked workers; a file that
     fails is read again by `_raise_bad_row`, whose FormatError names the
     offending line.  Both read by position, so only a regular file is
-    read, checked on a non-blocking descriptor: a FIFO fails at once."""
+    read, as `_open_regular` checks."""
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        fd = _open_regular(path, path)
         try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                raise IoError(f"cannot read {path}: not a regular file")
             (start, end), *rest = _row_ranges(fd)
             with _open_range(fd, start, end) as fh:
                 dim, k, rows = _read_header(path, fh.readline())
@@ -739,15 +754,13 @@ def _write_json(path, payload):
     """Strict JSON: a non-finite number raises ValueError before the file
     is opened."""
     text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    try:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def cmd_gen_data(config, seed, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     if config.task == "mixture2d":
         train, test, ood, _ = synthdata.gen_mixture_2d(
             seed, n_train_per_class=config.n_train_per_class,
@@ -823,23 +836,26 @@ def cmd_train(config, seed, out_dir, dataset=None):
         print(f"warning: outlier generation never initialized "
               f"(warmup_batches={config.warmup_batches}, "
               f"training batches={state.batch_index})", file=sys.stderr)
-    tfm.save_model(model, os.path.join(out_dir, "checkpoint.npz"))
+    checkpoint = os.path.join(out_dir, "checkpoint.npz")
+    with _writing(checkpoint):
+        tfm.save_model(model, checkpoint)
     _write_json(os.path.join(out_dir, "train_log.json"),
                 {"schema_version": REPORT_SCHEMA_VERSION,
                  "config_hash": config.hash(), "seed": seed, "epochs": log,
                  "grod": {"enabled": state is not None,
                           "initialized": state is not None
                           and state.initialized}})
-    return os.path.join(out_dir, "checkpoint.npz")
+    return checkpoint
 
 
 def _load_checkpoint(path, width, k):
     """The model saved at path, its parameters checked by `load_model`
     against those that `init_model` gives for its meta, and the model
     against the feature files' width and class count, before any forward
-    pass."""
+    pass.  Only a regular file is read, as `_open_regular` checks."""
     try:
-        model = tfm.load_model(path)
+        with os.fdopen(_open_regular(path, f"checkpoint {path}"), "rb") as fh:
+            model = tfm.load_model(fh)
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
     except tfm.BadParameter as exc:
@@ -884,7 +900,8 @@ def cmd_sweep_capacity(config, seed, out_dir):
     train/test accuracy, the share of OOD points classified as the extra
     class, and per-class mean top-softmax scores.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     ce_only = dataclasses.replace(config, task="mixture2d",
                                   grod_enabled=False, gamma=0.0)
     narrow = dict(d_hat=2, heads=2, m_h=1, m_v=1, ff=4)

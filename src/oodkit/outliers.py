@@ -3,7 +3,7 @@
 Per batch it: takes the batch's moments once (stacks over K+1 centers:
 row 0 global, row c class c), picks a class subset sized to the batch
 budget, EMA-updates the centers, covariances and reference Mahalanobis
-distances, factoring the whole covariance stack once into the snapshot
+distances, factoring the covariance stack once into the inverted factors
 that every distance of the batch reads, mines boundary rows (the batch's
 in the PCA basis of its covariance, each selected class's in the LDA basis
 of all class moments), pushes them outward to get outlier centers, samples
@@ -39,13 +39,16 @@ FALLBACK_REASONS = ("all_filtered", "degenerate_scatter", "not_pd")
 @dataclass
 class GrodState:
     """Statistics stacked over the K+1 centers, None until warmup ends:
-    `mu` (K+1, d), `cov` (K+1, d, d), reference distances `dist` (K+1,)
-    and the `tracked` mask.  Row 0 is the global center, row c class c; an
-    untracked row holds no statistics.  Warmup fills `pool_f`/`pool_y`."""
+    `mu` (K+1, d), `cov` (K+1, d, d), `linv` (K+1, d, d) the inverted
+    regularized Cholesky factors of `cov` as of the last update that
+    factored, reference distances `dist` (K+1,) and the `tracked` mask.
+    Row 0 is the global center, row c class c; an untracked row holds no
+    statistics.  Warmup fills `pool_f`/`pool_y`."""
     n_id_classes: int
     dim: int
     mu: np.ndarray | None = None
     cov: np.ndarray | None = None
+    linv: np.ndarray | None = None
     dist: np.ndarray | None = None
     tracked: np.ndarray | None = None
     batch_index: int = 0
@@ -72,32 +75,22 @@ def _ema(old, new, rate):
     return (1.0 - rate) * old + rate * new
 
 
-def factor_snapshot(state):
-    """(mu, L^-1): a copy of the (K+1, d) centers and the inverted
-    regularized Cholesky factors of the (K+1, d, d) covariances, from one
-    stacked factorization, so every distance to a center is one matmul.
-    The distance functions below take it as their `snapshot`."""
-    if not state.initialized:
-        raise UninitializedState("state not initialized; run warmup first")
-    return state.mu.copy(), tril_inverse(regularized_cholesky(state.cov))
-
-
-def class_distances(points, snapshot):
+def class_distances(points, state):
     """(points x K+1) squared distances to every center, untracked ones
-    included."""
-    return mahalanobis_sq_rows(points, *snapshot).T
+    included, each one matmul with the state's inverted factors."""
+    return mahalanobis_sq_rows(points, state.mu, state.linv).T
 
 
-def id_reference_distances(f, y, state, snapshot):
+def id_reference_distances(f, y, state):
     """(K+1,) batch-mean squared Mahalanobis distances: row 0 over all of
     f, row c over the rows of class c; NaN for a class that is untracked
     or absent from the batch."""
-    mu, linv = snapshot
-    out = np.full(len(mu), np.nan)
+    out = np.full(len(state.mu), np.nan)
     for c in np.flatnonzero(state.tracked):
         rows = f if c == 0 else f[y == c]
         if len(rows):   # on its own rows: a 1-row product rounds apart
-            out[c] = np.mean(mahalanobis_sq_rows(rows, mu[c], linv[c]))
+            out[c] = np.mean(mahalanobis_sq_rows(rows, state.mu[c],
+                                                 state.linv[c]))
     return out
 
 
@@ -106,9 +99,9 @@ def update_centers(state, f, y, moments, subset, gamma_opt):
     batch's moments, batch_moments(f, y, K): a center not yet tracked
     takes the batch's mean and covariance, a tracked one their EMA, one
     expression over the updated rows; the reference distances likewise.
-    Returns the factor snapshot of the updated covariances.  On
-    NotPositiveDefinite the centers and covariances are updated, the
-    distances are not."""
+    Then the whole covariance stack is factored once into `state.linv`.
+    On NotPositiveDefinite the centers and covariances are updated, the
+    factors and distances are not."""
     if not state.initialized:
         raise UninitializedState("state not initialized; run warmup first")
     was_tracked = state.tracked.copy()
@@ -119,11 +112,10 @@ def update_centers(state, f, y, moments, subset, gamma_opt):
     state.cov[rows] = np.where(old[:, None, None],
                                _ema(state.cov[rows], cov, gamma_opt), cov)
     state.tracked[rows] = True
-    snapshot = factor_snapshot(state)
-    new = id_reference_distances(f, y, state, snapshot)
+    state.linv = tril_inverse(regularized_cholesky(state.cov))
+    new = id_reference_distances(f, y, state)
     new = np.where(was_tracked, _ema(state.dist, new, gamma_opt), new)
     state.dist = np.where(np.isnan(new), state.dist, new)
-    return snapshot
 
 
 def initialize_state(state, f, y):
@@ -140,7 +132,7 @@ def initialize_state(state, f, y):
         update_centers(state, f, y, batch_moments(f, y, state.n_id_classes),
                        np.unique(y), 1.0)
     except NotPositiveDefinite:
-        state.mu = state.cov = state.dist = state.tracked = None
+        state.mu = state.cov = state.linv = state.dist = state.tracked = None
         raise
     finally:
         state.pool_f, state.pool_y = [], []
@@ -178,13 +170,13 @@ def sample_fake_ood(ood_centers, a, num, rng):
 
 
 def filter_fake_ood(candidates, state, lambda_filter, batch_size, rng,
-                    subset, snapshot):
+                    subset):
     """Delete ID-like candidates by the Mahalanobis margin, then randomly
     downsample the survivors to at most floor(B/K) + 2 points.  Each
     candidate is measured against the global center when subset is empty,
     else against its nearest tracked class (the first one on ties)."""
     candidates = np.asarray(candidates, dtype=float)
-    dists = class_distances(candidates, snapshot)
+    dists = class_distances(candidates, state)
     nearest = np.zeros(len(dists), dtype=int)
     if len(subset):
         nearest += 1 + np.argmin(
@@ -202,7 +194,7 @@ def filter_fake_ood(candidates, state, lambda_filter, batch_size, rng,
     return candidates[kept_idx]
 
 
-def soft_labels(points, state, snapshot):
+def soft_labels(points, state):
     """Distance-ratio soft labels over K+1 classes, normalized to sum 1.
 
     Per tracked class j the raw label is exp(ratio_j - 1) with
@@ -212,7 +204,7 @@ def soft_labels(points, state, snapshot):
     exponents, which keeps far points concentrated on K+1 without overflow.
     """
     k = state.n_id_classes
-    dists = class_distances(np.asarray(points, dtype=float), snapshot)
+    dists = class_distances(np.asarray(points, dtype=float), state)
     ratios = np.where(state.tracked[1:],
                       state.dist[1:] / np.maximum(dists[:, 1:], 1e-12),
                       -np.inf)
@@ -266,8 +258,7 @@ def grod_augment_batch(f, y, state, config, rng):
     kappa = len(subset)
     info = {"warmup": False, "n_fake": 0, "kappa": kappa, "fallback": None}
     try:
-        snapshot = update_centers(state, f, y, moments, subset,
-                                  config.gamma_opt)
+        update_centers(state, f, y, moments, subset, config.gamma_opt)
     except NotPositiveDefinite:
         info["fallback"] = "not_pd"
         return f, id_labels, info
@@ -293,13 +284,13 @@ def grod_augment_batch(f, y, state, config, rng):
     candidates = sample_fake_ood(centers, config.a, num, rng)
     try:
         kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                               batch_size, rng, subset, snapshot)
+                               batch_size, rng, subset)
     except AllFiltered:
         info["fallback"] = "all_filtered"
         return f, id_labels, info
 
     # with kappa > 0, update_centers tracked the subset's classes
-    fake_labels = (soft_labels(kept, state, snapshot)
+    fake_labels = (soft_labels(kept, state)
                    if kappa > 0 else one_hot(np.full(len(kept), k + 1), k))
     info["n_fake"] = len(kept)
     return (np.vstack([f, kept]), np.vstack([id_labels, fake_labels]), info)

@@ -254,10 +254,10 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """The model saved at path.  Its parameters must be exactly those that
-    `init_model` makes for its meta, all checked before they are copied
-    into the model's flat vector; the first that is not raises
-    BadParameter."""
+    """The model saved at path, a file name or an open binary file.  Its
+    parameters must be exactly those that `init_model` makes for its meta,
+    all checked before they are copied into the model's flat vector; the
+    first that is not raises BadParameter."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:

@@ -254,8 +254,7 @@ def test_criterion_6_filter_invariants(capsys):
             f[y == c] += spread * c
         moments = batch_moments(f, y, k)
         _, subset = select_classes(moments.count)
-        snapshot = update_centers(state, f, y, moments, subset,
-                                  config.gamma_opt)
+        update_centers(state, f, y, moments, subset, config.gamma_opt)
 
         boundaries = [(f[mine_boundary(f, pca_fit(moments, 2))], 0)]
         if subset:
@@ -277,7 +276,7 @@ def test_criterion_6_filter_invariants(capsys):
         candidates = sample_fake_ood(ood_centers, config.a, 16, grng)
         try:
             kept = filter_fake_ood(candidates, state, config.lambda_filter,
-                                   batch_size, grng, subset, snapshot)
+                                   batch_size, grng, subset)
         except AllFiltered:
             continue
         batches_checked += 1
@@ -303,7 +302,7 @@ def test_criterion_6_filter_invariants(capsys):
             d, ref = nearest(v)
             if d < (1.0 + margin) * ref - 1e-9:
                 violations.append(f"batch {i}: retention inequality broken")
-        labels = soft_labels(kept, state, snapshot) if subset else None
+        labels = soft_labels(kept, state) if subset else None
         if labels is not None and np.max(
                 np.abs(labels.sum(axis=1) - 1.0)) > 1e-8:
             violations.append(f"batch {i}: soft-label rows do not sum to 1")

@@ -317,23 +317,29 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize("kind", ["fifo", "dev_null", "directory"])
     def test_non_regular_path_fails_at_once(self, tmp_path, kind):
-        # in a child process with a timeout, so a reader that blocks on a
-        # FIFO with no writer fails the test instead of stalling the suite
         path = tmp_path / "train.csv"
-        if kind == "fifo":
-            os.mkfifo(path)
-        elif kind == "dev_null":
-            path.symlink_to(os.devnull)
-        else:
-            path.mkdir()
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        run = subprocess.run(
-            [sys.executable, "-m", "oodkit.cli", "eval", "--out",
-             str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=30)
-        assert run.returncode == 1
-        assert run.stderr == (f"error: IoError: cannot read {path}: "
-                              f"not a regular file\n")
+        assert eval_on_non_regular(tmp_path, path, kind) == (
+            f"error: IoError: cannot read {path}: not a regular file\n")
+
+
+def eval_on_non_regular(out, path, kind, *options):
+    """stderr of a failing CLI `eval --out out` once path is made a FIFO,
+    a link to /dev/null or a directory.  It runs in a child process with a
+    timeout, so a reader that blocks on a FIFO with no writer fails the
+    test instead of stalling the suite."""
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "dev_null":
+        path.symlink_to(os.devnull)
+    else:
+        path.mkdir()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "oodkit.cli", "eval", "--out", str(out),
+         *options], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=30)
+    assert run.returncode == 1
+    return run.stderr
 
 
 def ref_read_feature_file(path):
@@ -970,10 +976,10 @@ class TestTrainEval:
     def test_not_pd_at_end_of_warmup_restarts_warmup(self, tmp_path,
                                                      monkeypatch, capsys):
         # every factorization fails, so no warmup pool ever seeds the state
-        def not_pd(state):
+        def not_pd(cov):
             raise NotPositiveDefinite("poisoned")
 
-        monkeypatch.setattr(outliers, "factor_snapshot", not_pd)
+        monkeypatch.setattr(outliers, "regularized_cholesky", not_pd)
         cfg = small_config(grod_enabled="true", gamma=0.1)
         harness.cmd_gen_data(cfg, 79, str(tmp_path))
         capsys.readouterr()
@@ -1390,6 +1396,49 @@ class TestEvalCheckpoint:
         np.savez(path, **arrays)
         err = self.eval_error(tmp_path, capsys, path)
         assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
+
+
+    @pytest.mark.parametrize("kind", ["fifo", "dev_null", "directory"])
+    def test_non_regular_checkpoint_fails_at_once(self, tmp_path, kind):
+        # np.load's open of a FIFO with no writer blocks, and one with a
+        # writer cannot seek in the zip
+        path = tmp_path / "checkpoint.npz"
+        harness.cmd_gen_data(small_config(), 3, str(tmp_path))
+        assert eval_on_non_regular(tmp_path, path, kind, "--checkpoint",
+                                   str(path)) == (
+            f"error: IoError: cannot read checkpoint {path}: "
+            f"not a regular file\n")
+
+
+class TestWriteFailures:
+    """A target that cannot be written fails with one line, IoError:
+    cannot write <path>: <reason>."""
+
+    def cli_error(self, capsys, command, out, *options):
+        assert cli.main([command, "--seed", "3", "--out", str(out),
+                         *options]) == 1
+        return capsys.readouterr().err.splitlines()
+
+    def test_checkpoint_is_a_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n_train_per_class=20\nn_test_per_class=10\n"
+                            "n_ood=10\nepochs=1\ngrod_enabled=false\n")
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--seed",
+                         "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "checkpoint.npz"
+        path.mkdir()
+        assert self.cli_error(capsys, "train", tmp_path, "--config",
+                              str(cfg_path)) == [
+            f"error: IoError: cannot write {path}: [Errno 21] Is a "
+            f"directory: '{path}'"]
+
+    @pytest.mark.parametrize("command", ["gen-data", "sweep-capacity"])
+    def test_out_is_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert self.cli_error(capsys, command, out) == [
+            f"error: IoError: cannot write {out}: [Errno 17] File exists: "
+            f"'{out}'"]
 
 
 class TestDatasetChecks:

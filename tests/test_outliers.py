@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from oodkit import outliers
 from oodkit.harness import ExperimentConfig, FormatError
-from oodkit.numerics import (Moments, batch_moments, mahalanobis_sq,
-                             mahalanobis_sq_rows, regularized_inverse,
+from oodkit.numerics import (Moments, NotPositiveDefinite, batch_moments,
+                             mahalanobis_sq, mahalanobis_sq_rows,
+                             regularized_cholesky, regularized_inverse,
                              sample_covariance, softmax, tril_inverse)
 from oodkit.outliers import (AllFiltered, GrodState,
                              UninitializedState, build_ood_centers,
-                             class_distances, factor_snapshot,
-                             filter_fake_ood, grod_augment_batch,
+                             class_distances, filter_fake_ood,
+                             grod_augment_batch,
                              id_reference_distances, initialize_state,
                              one_hot, sample_fake_ood, select_classes,
                              soft_labels, update_centers)
@@ -38,6 +39,12 @@ def make_state(rng, k=2, dim=2, spread=6.0, n=200):
     state = GrodState(n_id_classes=k, dim=dim)
     initialize_state(state, f, y)
     return state, f, y
+
+
+def refactor(state):
+    """Refresh the inverted factors of a state whose covariances were set
+    by hand, with update_centers' expression."""
+    state.linv = tril_inverse(regularized_cholesky(state.cov))
 
 
 def tracked_classes(state):
@@ -411,8 +418,7 @@ class TestIdReferenceDistances:
         rng = np.random.default_rng(3)
         state, _, _ = make_state(rng)
         f = np.tile(state.mu[0], (10, 1))
-        d_pca = id_reference_distances(f, np.array([1] * 10), state,
-                                       factor_snapshot(state))[0]
+        d_pca = id_reference_distances(f, np.array([1] * 10), state)[0]
         assert d_pca <= 1e-6
 
     def test_standard_normal_chi_square_expectation(self):
@@ -421,15 +427,14 @@ class TestIdReferenceDistances:
         y = np.array([1] * 5000)
         state = GrodState(n_id_classes=1, dim=2)
         initialize_state(state, f, y)
-        d_pca, *d_lda = id_reference_distances(f, y, state,
-                                               factor_snapshot(state))
+        d_pca, *d_lda = id_reference_distances(f, y, state)
         assert abs(d_pca - 2.0) <= 0.2
         assert abs(d_lda[0] - 2.0) <= 0.2
 
     def test_class_restriction(self):
         rng = np.random.default_rng(5)
         state, f, y = make_state(rng)
-        d_lda = id_reference_distances(f, y, state, factor_snapshot(state))
+        d_lda = id_reference_distances(f, y, state)
         # restricted mean must match a manual recomputation for class 1
         inv = regularized_inverse(state.cov[1])
         expected = np.mean([mahalanobis_sq(v, state.mu[1], inv)
@@ -540,21 +545,22 @@ class TestSampleFakeOod:
 
 
 class TestOodDistance:
-    """Batched distances from the factor snapshot (global center route and
-    the candidates x classes matrix the filter takes its argmin over)."""
+    """Batched distances from the state's inverted factors (global center
+    route and the candidates x classes matrix the filter takes its argmin
+    over)."""
 
     def test_empty_subset_uses_global_center(self):
         rng = np.random.default_rng(12)
         state, _, _ = make_state(rng)
-        mu, linv = factor_snapshot(state)
-        d = mahalanobis_sq_rows(state.mu[0][None], mu[0], linv[0])
+        d = mahalanobis_sq_rows(state.mu[0][None], state.mu[0],
+                                state.linv[0])
         assert d.shape == (1,)
         assert d[0] <= 1e-6
 
     def test_at_class_center(self):
         rng = np.random.default_rng(13)
         state, _, _ = make_state(rng)
-        dists = class_distances(state.mu[2][None], factor_snapshot(state))
+        dists = class_distances(state.mu[2][None], state)
         assert np.argmin(dists[0, 1:]) + 1 == 2
         assert dists[0, 1:].min() <= 1e-6
 
@@ -562,7 +568,7 @@ class TestOodDistance:
         rng = np.random.default_rng(14)
         state, _, _ = make_state(rng, k=3, dim=3)
         points = rng.standard_normal((20, 3)) * 10
-        dists = class_distances(points, factor_snapshot(state))[:, 1:]
+        dists = class_distances(points, state)[:, 1:]
         for v, row in zip(points, dists):
             per_class = {
                 cc: mahalanobis_sq(v, state.mu[cc],
@@ -585,11 +591,10 @@ class TestOodDistance:
                    for _ in range(3)]
         state.mu = np.array([mu for mu, _ in centers])
         state.cov = np.array([cov for _, cov in centers])
-        snapshot = factor_snapshot(state)
+        refactor(state)
         points = rng.standard_normal((12, dim)) * rng.uniform(0.01, 10.0)
-        columns = {0: mahalanobis_sq_rows(points, snapshot[0][0],
-                                          snapshot[1][0])}
-        columns.update(zip((1, 2), class_distances(points, snapshot)[:, 1:].T))
+        columns = {0: mahalanobis_sq_rows(points, state.mu[0], state.linv[0])}
+        columns.update(zip((1, 2), class_distances(points, state)[:, 1:].T))
         for key, got in columns.items():
             want = [mahalanobis_sq(v, state.mu[key],
                                    regularized_inverse(state.cov[key]))
@@ -604,8 +609,7 @@ class TestFilterFakeOod:
         grng = np.random.default_rng(0)
         far = state.mu[1] + 1000.0
         kept = filter_fake_ood(np.vstack([state.mu[1], far]), state,
-                               0.1, 64, grng, [1, 2],
-                               factor_snapshot(state))
+                               0.1, 64, grng, [1, 2])
         assert len(kept) == 1
         np.testing.assert_allclose(kept[0], far)
 
@@ -615,8 +619,7 @@ class TestFilterFakeOod:
         rng = np.random.default_rng(16)
         state, _, _ = make_state(rng)
         kept = filter_fake_ood(state.mu[0][None] + 500.0, state, 0.1, 64,
-                               np.random.default_rng(1), [1, 2],
-                               factor_snapshot(state))
+                               np.random.default_rng(1), [1, 2])
         assert len(kept) == 1
 
     def test_zero_margin_keeps_all_far_candidates(self):
@@ -624,8 +627,7 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng)
         cands = np.stack([state.mu[0] + 500.0, state.mu[0] - 500.0])
         kept = filter_fake_ood(cands, state, 0.0, 64,
-                               np.random.default_rng(1), [1, 2],
-                               factor_snapshot(state))
+                               np.random.default_rng(1), [1, 2])
         assert len(kept) == 2
 
     def test_cap_applied(self):
@@ -633,8 +635,7 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng, k=2)
         cands = state.mu[0] + 500.0 + rng.standard_normal((100, 2))
         kept = filter_fake_ood(cands, state, 0.1, 6,
-                               np.random.default_rng(2), [1, 2],
-                               factor_snapshot(state))
+                               np.random.default_rng(2), [1, 2])
         assert len(kept) == 6 // 2 + 2     # = 5, with K = 2
 
     def test_all_filtered_raises(self):
@@ -650,8 +651,7 @@ class TestFilterFakeOod:
         cands = np.vstack([state.mu[1] + scale * unit] * 5)
         with pytest.raises(AllFiltered):
             filter_fake_ood(cands, state, 0.5, 64,
-                            np.random.default_rng(3), [1, 2],
-                            factor_snapshot(state))
+                            np.random.default_rng(3), [1, 2])
 
     def test_retention_inequality_post_hoc(self):
         rng = np.random.default_rng(19)
@@ -659,8 +659,7 @@ class TestFilterFakeOod:
         cands = state.mu[0] + rng.standard_normal((50, 2)) * 20
         try:
             kept = filter_fake_ood(cands, state, 0.1, 64,
-                                   np.random.default_rng(4), [1, 2],
-                                   factor_snapshot(state))
+                                   np.random.default_rng(4), [1, 2])
         except AllFiltered:
             return
         # recompute the margin over the full candidate set
@@ -685,15 +684,14 @@ class TestFilterFakeOod:
         state, _, _ = make_state(rng, k=k, dim=dim, spread=4.0)
         subset = [] if seed % 4 == 0 else list(range(1, k + 1))
         cands = state.mu[0] + rng.standard_normal((80, dim)) * (4.0 * k)
-        snapshot = factor_snapshot(state)
         want = ref_filter_fake_ood(
             cands, state, 0.1, 64, k,
             np.random.Generator(np.random.Philox(seed)), subset)
         got = filter_fake_ood(
             cands, state, 0.1, 64,
-            np.random.Generator(np.random.Philox(seed)), subset, snapshot)
+            np.random.Generator(np.random.Philox(seed)), subset)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_allclose(soft_labels(got, state, snapshot),
+        np.testing.assert_allclose(soft_labels(got, state),
                                    ref_soft_labels(want, state, k),
                                    rtol=0, atol=1e-10)
 
@@ -703,25 +701,23 @@ class TestSoftLabels:
         rng = np.random.default_rng(20)
         state, _, _ = make_state(rng)
         pts = rng.standard_normal((10, 2)) * 10
-        labels = soft_labels(pts, state, factor_snapshot(state))
+        labels = soft_labels(pts, state)
         np.testing.assert_allclose(labels.sum(axis=1), 1.0, atol=1e-8)
         assert np.all(labels > 0)
 
     def test_far_point_concentrates_on_ood(self):
         rng = np.random.default_rng(21)
         state, _, _ = make_state(rng)
-        labels = soft_labels(np.array([state.mu[0] + 1e6]), state,
-                             factor_snapshot(state))
+        labels = soft_labels(np.array([state.mu[0] + 1e6]), state)
         assert np.argmax(labels[0]) == 2     # the K+1 slot for K=2
         assert labels[0, 2] >= 0.4
 
     def test_id_argmax_matches_nearest_class(self):
         rng = np.random.default_rng(22)
         state, _, _ = make_state(rng, k=3, dim=3)
-        snapshot = factor_snapshot(state)
         for _ in range(20):
             v = rng.standard_normal(3) * 8
-            labels = soft_labels(np.array([v]), state, snapshot)
+            labels = soft_labels(np.array([v]), state)
             per_class = {
                 c: state.dist[c] / max(
                     mahalanobis_sq(v, state.mu[c],
@@ -742,6 +738,7 @@ class TestSoftLabels:
         state.mu[2] = state.mu[1].copy()
         state.cov[2] = state.cov[1].copy()
         state.dist[2] = state.dist[1]
+        refactor(state)
         inv = regularized_inverse(state.cov[1])
         # find a point whose squared distance equals the reference distance
         direction = np.array([1.0, 0.0])
@@ -749,7 +746,7 @@ class TestSoftLabels:
                         / mahalanobis_sq(state.mu[1] + direction,
                                          state.mu[1], inv))
         v = state.mu[1] + scale * direction
-        labels = soft_labels(np.array([v]), state, factor_snapshot(state))
+        labels = soft_labels(np.array([v]), state)
         np.testing.assert_allclose(labels[0], 1.0 / 3.0, atol=1e-6)
 
 
@@ -913,6 +910,71 @@ class TestAugmentBatch:
         assert [c.tolist() for c, _ in fitted] == [[3, 7, 9]]
         assert fitted[0][1] == 2
         assert mined == [8, 3]       # the batch in PCA, class 3 in LDA
+
+
+class TestFactorsInState:
+    """update_centers keeps state.linv equal to the inverted regularized
+    Cholesky factors of state.cov; a failed factoring leaves it alone."""
+
+    def batch(self, rng, k=2, n=16):
+        y = np.repeat(np.arange(1, k + 1), n)
+        f = 6.0 * np.eye(k, 2)[y - 1] + rng.standard_normal((len(y), 2))
+        return f, y
+
+    def test_refreshed_after_every_update(self):
+        rng, grng = np.random.default_rng(50), np.random.default_rng(51)
+        state, config = GrodState(n_id_classes=2, dim=2), ExperimentConfig()
+        checked = 0
+        for _ in range(config.warmup_batches + 20):
+            old = state.linv
+            _, _, info = grod_augment_batch(*self.batch(rng), state, config,
+                                            grng)
+            if not state.initialized:
+                continue
+            assert info["fallback"] != "not_pd"
+            want = tril_inverse(regularized_cholesky(state.cov))
+            assert state.linv.tobytes() == want.tobytes()
+            assert old is None or old.tobytes() != want.tobytes()
+            checked += 1
+        assert checked == 21
+
+    def test_not_pd_keeps_last_factors(self, monkeypatch):
+        rng, grng = np.random.default_rng(52), np.random.default_rng(53)
+        state = GrodState(n_id_classes=2, dim=2)
+        config = ExperimentConfig(warmup_batches=1)
+        for _ in range(3):
+            grod_augment_batch(*self.batch(rng), state, config, grng)
+        kept = state.linv.tobytes()
+
+        def not_pd(cov):
+            raise NotPositiveDefinite("poisoned")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(outliers, "regularized_cholesky", not_pd)
+            f, y = self.batch(rng)
+            f_all, labels, info = grod_augment_batch(f, y, state, config,
+                                                     grng)
+        assert info["fallback"] == "not_pd" and info["n_fake"] == 0
+        np.testing.assert_array_equal(f_all, f)
+        np.testing.assert_array_equal(labels, one_hot(y, 2))
+        assert state.linv.tobytes() == kept
+        _, _, info = grod_augment_batch(*self.batch(rng), state, config,
+                                        grng)
+        assert info["fallback"] != "not_pd"
+        want = tril_inverse(regularized_cholesky(state.cov))
+        assert state.linv.tobytes() == want.tobytes() != kept
+
+    def test_not_pd_at_end_of_warmup_drops_factors(self, monkeypatch):
+        def not_pd(cov):
+            raise NotPositiveDefinite("poisoned")
+
+        monkeypatch.setattr(outliers, "regularized_cholesky", not_pd)
+        state = GrodState(n_id_classes=2, dim=2)
+        _, _, info = grod_augment_batch(
+            *self.batch(np.random.default_rng(54)), state,
+            ExperimentConfig(warmup_batches=1), np.random.default_rng(0))
+        assert info["fallback"] == "not_pd" and not state.initialized
+        assert state.linv is None
 
 
 class TestStackedStateMatchesDictOracle:
