@@ -294,6 +294,23 @@ def _writing(path):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _outputs(out_dir, *names):
+    """The paths of out_dir's outputs `names`, checked first: IoError("cannot
+    write <path>: not a regular file") for the first that exists as
+    anything else, such as a directory or a FIFO that would block the
+    write.  Commands call it before they read or train, so such a target
+    fails at once; any other fault is left to the write itself."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:
+            continue
+        if not stat.S_ISREG(mode):
+            raise IoError(f"cannot write {path}: not a regular file")
+    return paths
+
+
 def _open_regular(path, name):
     """A descriptor of path, opened without blocking so that a FIFO fails
     at once, and IoError("cannot read <name>: not a regular file") unless
@@ -724,9 +741,9 @@ def _score_set(model, batch, k, scorer, calib, temperature):
 
 def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                    scorer="vim", temperature=1.0):
-    """Metrics plus the scores and threshold of the ID test and OOD sets.
-    Beyond its inputs it holds the (n,) predictions and scores and one
-    forward block."""
+    """(MetricSummary, threshold) of the ID test and OOD sets, the threshold
+    the score that keeps 95% of the ID test scores.  Beyond its inputs it
+    holds the (n,) predictions and scores and one forward block."""
     k = n_id_classes
     calib = None
     if scorer == "vim":    # only ViM calibrates on the train rows
@@ -735,16 +752,13 @@ def evaluate_model(model, train_batch, test_batch, ood_batch, n_id_classes,
                                        temperature)
     _, ood_scores = _score_set(model, ood_batch, k, scorer, calib,
                                temperature)
-
-    report = post.score_report(np.concatenate([id_scores, ood_scores]),
-                               id_scores)
     summary = metrics_mod.MetricSummary(
         id_acc=id_accuracy(test_preds, test_batch.labels),
         fpr_at_95=metrics_mod.fpr_at_tpr(id_scores, ood_scores),
         auroc=metrics_mod.auroc(id_scores, ood_scores),
-        aupr_in=metrics_mod.aupr_in(id_scores, ood_scores),
+        aupr_in=metrics_mod.aupr(id_scores, ood_scores),
         aupr_out=metrics_mod.aupr_out(id_scores, ood_scores))
-    return summary, report
+    return summary, post.score_report(id_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +775,7 @@ def _write_json(path, payload):
 def cmd_gen_data(config, seed, out_dir):
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
+    paths = _outputs(out_dir, "train.csv", "test.csv", "ood.csv")
     if config.task == "mixture2d":
         train, test, ood, _ = synthdata.gen_mixture_2d(
             seed, n_train_per_class=config.n_train_per_class,
@@ -780,8 +795,8 @@ def cmd_gen_data(config, seed, out_dir):
                      + np.random.Generator(np.random.Philox(seed + 2))
                      .standard_normal((npc, dim)))
         ood = synthdata.FeatureBatch(ood_feats, np.full(npc, k + 1))
-    for name, batch in (("train", train), ("test", test), ("ood", ood)):
-        write_feature_file(os.path.join(out_dir, f"{name}.csv"), batch, k)
+    for path, batch in zip(paths, (train, test, ood)):
+        write_feature_file(path, batch, k)
     return out_dir
 
 
@@ -828,6 +843,8 @@ def _check_vim_rows(config, out_dir, train, width):
 
 def cmd_train(config, seed, out_dir, dataset=None):
     """Trains on `dataset` (as `_load_dataset` returns it) or out_dir's."""
+    checkpoint, log_path = _outputs(out_dir, "checkpoint.npz",
+                                    "train_log.json")
     train, _, _, k = dataset or _load_dataset(out_dir)
     _check_vim_rows(config, out_dir, train,
                     model_shape(config, train.features.shape[1])[1].d_hat)
@@ -836,10 +853,9 @@ def cmd_train(config, seed, out_dir, dataset=None):
         print(f"warning: outlier generation never initialized "
               f"(warmup_batches={config.warmup_batches}, "
               f"training batches={state.batch_index})", file=sys.stderr)
-    checkpoint = os.path.join(out_dir, "checkpoint.npz")
     with _writing(checkpoint):
         tfm.save_model(model, checkpoint)
-    _write_json(os.path.join(out_dir, "train_log.json"),
+    _write_json(log_path,
                 {"schema_version": REPORT_SCHEMA_VERSION,
                  "config_hash": config.hash(), "seed": seed, "epochs": log,
                  "grod": {"enabled": state is not None,
@@ -873,19 +889,20 @@ def _load_checkpoint(path, width, k):
 
 
 def cmd_eval(config, seed, out_dir, checkpoint=None, dataset=None):
+    report_path, = _outputs(out_dir, "report.json")
     train, test, ood, k = dataset or _load_dataset(out_dir)
     model = _load_checkpoint(checkpoint
                              or os.path.join(out_dir, "checkpoint.npz"),
                              train.features.shape[1], k)
     _check_vim_rows(config, out_dir, train, model.budget.d_hat * model.tau)
-    summary, report = evaluate_model(
+    summary, threshold = evaluate_model(
         model, train, test, ood, k, scorer=config.scorer,
         temperature=config.temperature)
-    metrics = summary.to_dict()
+    metrics = dataclasses.asdict(summary)
     ood_metrics = {key: v for key, v in metrics.items() if key != "id_acc"}
-    _write_json(os.path.join(out_dir, "report.json"), {
+    _write_json(report_path, {
         "schema_version": REPORT_SCHEMA_VERSION, "config_hash": config.hash(),
-        "seed": seed, "metrics": metrics, "threshold": report.threshold,
+        "seed": seed, "metrics": metrics, "threshold": threshold,
         "per_set": {"id_test": {"n": len(test.labels),
                                 "id_acc": metrics["id_acc"]},
                     "ood": {"n": len(ood.labels), **ood_metrics}}})
@@ -902,6 +919,7 @@ def cmd_sweep_capacity(config, seed, out_dir):
     """
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
+    sweep_path, = _outputs(out_dir, "sweep.json")
     ce_only = dataclasses.replace(config, task="mixture2d",
                                   grod_enabled=False, gamma=0.0)
     narrow = dict(d_hat=2, heads=2, m_h=1, m_v=1, ff=4)
@@ -920,7 +938,7 @@ def cmd_sweep_capacity(config, seed, out_dir):
                                    test, ood))
     payload = {"schema_version": REPORT_SCHEMA_VERSION,
                "config_hash": config.hash(), "seed": seed, "rows": rows}
-    _write_json(os.path.join(out_dir, "sweep.json"), payload)
+    _write_json(sweep_path, payload)
     return rows
 
 
@@ -945,6 +963,7 @@ def _sweep_row(label, depth, run_seed, model, train, test, ood):
 def cmd_ingest(config, seed, out_dir):
     """Head-only training plus evaluation on externally supplied features;
     the feature files are read once, for both."""
+    _outputs(out_dir, "checkpoint.npz", "train_log.json", "report.json")
     dataset = _load_dataset(out_dir)
     cmd_train(config, seed, out_dir, dataset)
     return cmd_eval(config, seed, out_dir, dataset=dataset)

@@ -7,7 +7,7 @@ threshold uses the lower (no interpolation) percentile, and AUPR uses step
 interpolation over the distinct score thresholds, summed from high to low.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,6 @@ class MetricSummary:
     auroc: float
     aupr_in: float
     aupr_out: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _finite(name, scores):
@@ -112,10 +109,6 @@ def aupr(pos_scores, neg_scores):
     precision = tp / (last + 1)
     # a running sum keeps the high-to-low order of the step-wise terms
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
-
-
-def aupr_in(id_scores, ood_scores):
-    return aupr(id_scores, ood_scores)
 
 
 def aupr_out(id_scores, ood_scores):

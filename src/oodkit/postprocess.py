@@ -14,12 +14,6 @@ class DegenerateFeatures(Exception):
 
 
 @dataclass
-class ScoreReport:
-    scores: np.ndarray            # per-sample, higher = more ID
-    threshold: float
-
-
-@dataclass
 class VimCalibration:
     principal_basis: np.ndarray   # (d', s), orthonormal rows
     feature_mean: np.ndarray
@@ -120,7 +114,6 @@ def default_d_prime(s):
     return min(s - 1, 64) if s > 8 else max(1, s // 2)
 
 
-def score_report(scores, id_scores_for_threshold, tpr=0.95):
-    """The scores and the threshold that keeps `tpr` of the ID scores."""
-    return ScoreReport(scores=np.asarray(scores, dtype=float),
-                       threshold=pick_threshold(id_scores_for_threshold, tpr))
+def score_report(id_scores, tpr=0.95):
+    """The threshold that keeps `tpr` of the ID scores, `pick_threshold`'s."""
+    return pick_threshold(id_scores, tpr)

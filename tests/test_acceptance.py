@@ -218,7 +218,7 @@ def test_criterion_5_metric_oracles(capsys):
         pairs = [
             (metrics_mod.auroc(id_s, ood_s),
              _auroc_oracle(list(id_s), list(ood_s))),
-            (metrics_mod.aupr_in(id_s, ood_s),
+            (metrics_mod.aupr(id_s, ood_s),
              _aupr_oracle(list(id_s), list(ood_s))),
             (metrics_mod.aupr_out(id_s, ood_s),
              _aupr_oracle(list(-ood_s), list(-id_s))),

@@ -22,6 +22,7 @@ from oodkit import transformer as tfm
 from oodkit.harness import (ExperimentConfig, FormatError, IoError,
                             read_feature_file, write_feature_file)
 from oodkit import outliers
+from oodkit.metrics import pick_threshold
 from oodkit.numerics import NotPositiveDefinite
 from oodkit.synthdata import FeatureBatch, gen_mixture_2d
 
@@ -874,7 +875,7 @@ class TestTrainEval:
                             rng.integers(1, 3, size=n))
         ood = FeatureBatch(3.0 + rng.standard_normal((n, 2)), np.full(n, 3))
         model = tfm.init_model(2, 1, 2, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
-        summary, report = harness.evaluate_model(
+        summary, threshold = harness.evaluate_model(
             model, None, test, ood, 2, scorer=scorer, temperature=0.7)
         preds, _ = harness._score_set(model, test, 2, scorer, None, 0.7)
         want_preds, want_scores = [], []
@@ -887,8 +888,10 @@ class TestTrainEval:
         np.testing.assert_array_equal(preds, want_preds[0])
         assert summary.id_acc == harness.id_accuracy(want_preds[0],
                                                      test.labels)
-        np.testing.assert_array_equal(report.scores,
-                                      np.concatenate(want_scores))
+        for batch, want in zip((test, ood), want_scores):
+            _, scores = harness._score_set(model, batch, 2, scorer, None, 0.7)
+            np.testing.assert_array_equal(scores, want)
+        assert threshold == pick_threshold(want_scores[0])
 
     def test_eval_perfectly_separable(self):
         # a head-only identity model on far-apart clusters scores perfectly
@@ -907,8 +910,8 @@ class TestTrainEval:
         model.params["head.W3"] = np.array([[1.0, 0.0], [0.0, 1.0],
                                             [0.0, 0.0]])
         model.params["head.W4"] = np.ones((3, 1))
-        summary, report = harness.evaluate_model(model, train, test, ood, 2,
-                                                 scorer="vim")
+        summary, _ = harness.evaluate_model(model, train, test, ood, 2,
+                                            scorer="vim")
         assert summary.auroc == 1.0
         assert summary.fpr_at_95 == 0.0
         assert summary.id_acc == 1.0
@@ -942,7 +945,7 @@ class TestTrainEval:
         harness.cmd_train(cfg, 79, str(tmp_path))
         summary = harness.cmd_eval(cfg, 79, str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["metrics"] == summary.to_dict()
+        assert report["metrics"] == dataclasses.asdict(summary)
         assert report["config_hash"] == cfg.hash()
         assert report["seed"] == 79
         assert set(report["per_set"]) == {"id_test", "ood"}
@@ -1410,27 +1413,69 @@ class TestEvalCheckpoint:
             f"not a regular file\n")
 
 
+def forbid_training(monkeypatch):
+    def no_training(*args):
+        raise AssertionError("trained before the output check")
+
+    monkeypatch.setattr(harness, "train_model", no_training)
+
+
 class TestWriteFailures:
     """A target that cannot be written fails with one line, IoError:
-    cannot write <path>: <reason>."""
+    cannot write <path>: <reason>; one that exists and is not a regular
+    file fails so before any input is read or any training runs."""
 
     def cli_error(self, capsys, command, out, *options):
         assert cli.main([command, "--seed", "3", "--out", str(out),
                          *options]) == 1
         return capsys.readouterr().err.splitlines()
 
-    def test_checkpoint_is_a_directory(self, tmp_path, capsys):
+    def gen_data(self, tmp_path, lines):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("n_train_per_class=20\nn_test_per_class=10\n"
-                            "n_ood=10\nepochs=1\ngrod_enabled=false\n")
+        cfg_path.write_text("".join(f"{line}\n" for line in lines))
         assert cli.main(["gen-data", "--config", str(cfg_path), "--seed",
                          "3", "--out", str(tmp_path)]) == 0
+        return cfg_path
+
+    def test_checkpoint_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        cfg_path = self.gen_data(tmp_path, [
+            "n_train_per_class=20", "n_test_per_class=10", "n_ood=10",
+            "epochs=1", "grod_enabled=false"])
         path = tmp_path / "checkpoint.npz"
         path.mkdir()
+        forbid_training(monkeypatch)
         assert self.cli_error(capsys, "train", tmp_path, "--config",
                               str(cfg_path)) == [
-            f"error: IoError: cannot write {path}: [Errno 21] Is a "
-            f"directory: '{path}'"]
+            f"error: IoError: cannot write {path}: not a regular file"]
+
+    @pytest.mark.parametrize("command,name,lines", [
+        ("train", "train_log.json", []),
+        ("ingest", "report.json", ["task=ingest", "classes=2", "dim=4",
+                                   "n_per_class=20", "scorer=msp"])])
+    def test_fifo_output_fails_at_once(self, tmp_path, command, name, lines):
+        # in a child process with a timeout: a write that opens the FIFO
+        # blocks until a reader comes, which fails the test
+        cfg_path = self.gen_data(tmp_path, [
+            "n_train_per_class=20", "n_test_per_class=10", "n_ood=10",
+            "epochs=1", "grod_enabled=false", *lines])
+        path = tmp_path / name
+        os.mkfifo(path)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "oodkit.cli", command, "--config",
+             str(cfg_path), "--seed", "3", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=30)
+        assert (run.returncode, run.stderr) == (
+            1, f"error: IoError: cannot write {path}: not a regular file\n")
+        assert not (tmp_path / "checkpoint.npz").exists()
+
+    def test_sweep_json_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sweep.json"
+        path.mkdir()
+        forbid_training(monkeypatch)
+        assert self.cli_error(capsys, "sweep-capacity", tmp_path) == [
+            f"error: IoError: cannot write {path}: not a regular file"]
 
     @pytest.mark.parametrize("command", ["gen-data", "sweep-capacity"])
     def test_out_is_a_file(self, tmp_path, capsys, command):

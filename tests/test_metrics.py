@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oodkit.metrics import (EmptyClass, LengthMismatch, NonFiniteScore,
-                            _average_ranks, aupr, aupr_in, aupr_out, auroc,
+                            _average_ranks, aupr, aupr_out, auroc,
                             fpr_at_tpr, id_accuracy, pick_threshold)
 
 
@@ -80,7 +80,7 @@ class TestSortBasedMetrics:
     def test_match_bruteforce_oracles(self, seed, n_id, n_ood, tied):
         a, b = draw_scores(seed, n_id, n_ood, tied)
         assert abs(auroc(a, b) - auroc_oracle(a, b)) <= 1e-12
-        assert abs(aupr_in(a, b) - aupr_oracle(a, b)) <= 1e-12
+        assert abs(aupr(a, b) - aupr_oracle(a, b)) <= 1e-12
         assert abs(aupr_out(a, b) - aupr_oracle(-b, -a)) <= 1e-12
         assert abs(fpr_at_tpr(a, b) - fpr_oracle(a, b)) <= 1e-12
 
@@ -199,8 +199,6 @@ class TestAupr:
         ood_scores = rng.standard_normal(25)
         assert aupr_out(id_scores, ood_scores) == pytest.approx(
             aupr(-ood_scores, -id_scores), abs=1e-12)
-        assert aupr_in(id_scores, ood_scores) == pytest.approx(
-            aupr(id_scores, ood_scores), abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyClass):

@@ -300,6 +300,4 @@ class TestBlockedResiduals:
 class TestScoreReport:
     def test_threshold_from_id_scores(self):
         id_scores = np.arange(1, 101, dtype=float)
-        report = score_report([0.5, 50.0], id_scores)
-        assert report.threshold == 5.0
-        np.testing.assert_array_equal(report.scores, [0.5, 50.0])
+        assert score_report(id_scores) == 5.0
