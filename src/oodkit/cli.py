@@ -20,14 +20,30 @@ COMMANDS = {"gen-data": (harness.cmd_gen_data, ()),
             "ingest": (harness.cmd_ingest, ())}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, for `main` to report in one line, where
+    argparse would print the usage and exit 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _seed(text):
+    """--seed, read as the config reads `seed`."""
+    try:
+        return harness.ExperimentConfig.parse({"seed": text}).seed
+    except harness.FormatError as exc:
+        raise harness.FormatError(f"--{exc}") from None
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="oodkit")
+    parser = _Parser(prog="oodkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", required=True, help="output directory")
         for option in options:
             p.add_argument(f"--{option}", default=None)
@@ -35,13 +51,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # overflow in a diverging run is reported once, by TrainingDiverged
         # or the read-time checks, not by numpy warnings on stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if args.seed is not None and args.seed < 0:
-                raise harness.FormatError("--seed must be >= 0")
             config = (harness.ExperimentConfig.from_file(args.config)
                       if args.config else harness.ExperimentConfig())
             seed = args.seed if args.seed is not None else config.seed

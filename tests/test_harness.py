@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oodkit import cli, harness
+from oodkit import cli, evaluation, featurefile, harness, training
 from oodkit import postprocess as post
 from oodkit import transformer as tfm
 from oodkit.harness import (ExperimentConfig, FormatError, IoError,
@@ -478,6 +478,10 @@ def header_rows(n):
     return replace(1, f"dim=3,classes=2,rows={n}")
 
 
+def header_classes(k):
+    return replace(1, f"dim=3,classes={k},rows=6")
+
+
 MUTATIONS = {
     "valid": (),
     "bad_cell": (cell(4, 1, "abc"),),
@@ -509,7 +513,7 @@ def split_into(n_ranges):
     their size: each range but the first in a forked worker."""
     with pytest.MonkeyPatch.context() as mp:
         if n_ranges > 1:
-            mp.setattr(harness, "PART_BYTES", 1)
+            mp.setattr(featurefile, "PART_BYTES", 1)
             mp.setattr(os, "sched_getaffinity",
                        lambda pid: set(range(n_ranges)))
         yield
@@ -611,6 +615,27 @@ class TestFeatureFileOracle:
                            match=rf"^{path}:5: unparsable row$"):
             read_feature_file(path)
 
+    # The label is read as the config reads an int, where Python's int also
+    # reads other scripts' digits and `_`; classes=9 keeps every such label
+    # in range for the oracle.
+    @pytest.mark.parametrize("n_ranges", [1, 2], ids=["1range", "2ranges"])
+    @pytest.mark.parametrize("text,value", [
+        ("\u0662", 2), ("\u0e52", 2), ("\uff11", 1), ("0_1", 1), ("1_0", 10)],
+        ids=["arabic_digit", "thai_digit", "fullwidth_digit",
+             "underscore_after_zero", "underscore"])
+    def test_labels_only_python_int_accepts_name_the_line(self, tmp_path,
+                                                          text, value,
+                                                          n_ranges):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(mutated(header_classes(9),
+                                          label(5, text))) + "\n",
+                        encoding="utf-8")
+        batch, _ = outcome(ref_read_feature_file, path)
+        assert batch.labels[3] == value
+        with split_into(n_ranges), pytest.raises(
+                FormatError, match=rf"^{path}:5: unparsable row$"):
+            read_feature_file(path)
+
     def test_unicode_line_breaks_stay_inside_the_line(self, tmp_path):
         # str.splitlines also breaks at \f, \v, \x1c-\x1e, \x85, \u2028
         # and \u2029, so the per-row reader split such a row in two; lines
@@ -631,7 +656,7 @@ class TestFeatureFileOracle:
         def fail(*args):
             raise AssertionError("row-locating pass ran on a valid file")
 
-        monkeypatch.setattr(harness, "_raise_bad_row", fail)
+        monkeypatch.setattr(featurefile, "_raise_bad_row", fail)
         rng = np.random.default_rng(5)
         batch = FeatureBatch(rng.standard_normal((2000, 64)),
                              rng.integers(1, 6, size=2000))
@@ -650,7 +675,7 @@ class TestRowRanges:
         path = tmp_path / "f.csv"
         path.write_bytes("\r\n".join(base_lines()).encode() + b"\r\n")
         with split_into(3), open(path, "rb") as fh:
-            ranges = harness._row_ranges(fh.fileno())
+            ranges = featurefile._row_ranges(fh.fileno())
         data = path.read_bytes()
         assert len(ranges) == 3
         assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
@@ -662,7 +687,7 @@ class TestRowRanges:
         path.write_bytes("\r".join(base_lines()).encode() + b"\r")
         with split_into(3):
             with open(path, "rb") as fh:
-                assert len(harness._row_ranges(fh.fileno())) == 1
+                assert len(featurefile._row_ranges(fh.fileno())) == 1
             got, k = read_feature_file(path)
         want, _ = ref_read_feature_file(path)
         assert k == 2
@@ -692,7 +717,7 @@ class TestRowRanges:
         write_feature_file(path, batch, 2)
         # two cores, and the file and its feature array each a byte or
         # more under two parts
-        monkeypatch.setattr(harness, "PART_BYTES", max(
+        monkeypatch.setattr(featurefile, "PART_BYTES", max(
             path.stat().st_size, batch.features.nbytes) // 2 + 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", fail)
@@ -706,7 +731,7 @@ class TestRowRanges:
         path = tmp_path / "f.csv"
         path.write_text("\n".join(base_lines()) + "\n")
         batch, _ = read_feature_file(path)
-        monkeypatch.setattr(harness, job, lambda *args: os._exit(1))
+        monkeypatch.setattr(featurefile, job, lambda *args: os._exit(1))
         verb = "read" if job == "_send_parsed" else "write"
         with split_into(2), pytest.raises(
                 IoError, match=rf"^cannot {verb} {path}: worker \d+ exited "
@@ -869,7 +894,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("scorer", ["msp", "energy"])
     def test_blocked_scores_equal_one_shot(self, scorer):
         # 3 full blocks and a 17-row one through a depth-2 trunk
-        n = 3 * harness.EVAL_BLOCK_ROWS + 17
+        n = 3 * evaluation.EVAL_BLOCK_ROWS + 17
         rng = np.random.default_rng(12)
         test = FeatureBatch(rng.standard_normal((n, 2)),
                             rng.integers(1, 3, size=n))
@@ -877,10 +902,10 @@ class TestTrainEval:
         model = tfm.init_model(2, 1, 2, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
         summary, threshold = harness.evaluate_model(
             model, None, test, ood, 2, scorer=scorer, temperature=0.7)
-        preds, _ = harness._score_set(model, test, 2, scorer, None, 0.7)
+        preds, _ = evaluation._score_set(model, test, 2, scorer, None, 0.7)
         want_preds, want_scores = [], []
         for batch in (test, ood):
-            _, logits = harness._model_outputs(model, batch.features)
+            _, logits = evaluation._model_outputs(model, batch.features)
             adjusted = post.adjust_logits(logits, 2)
             want_preds.append(np.argmax(adjusted, axis=1) + 1)
             want_scores.append(post.msp_score(adjusted) if scorer == "msp"
@@ -889,7 +914,8 @@ class TestTrainEval:
         assert summary.id_acc == harness.id_accuracy(want_preds[0],
                                                      test.labels)
         for batch, want in zip((test, ood), want_scores):
-            _, scores = harness._score_set(model, batch, 2, scorer, None, 0.7)
+            _, scores = evaluation._score_set(model, batch, 2, scorer, None,
+                                              0.7)
             np.testing.assert_array_equal(scores, want)
         assert threshold == pick_threshold(want_scores[0])
 
@@ -923,7 +949,7 @@ class TestTrainEval:
                                                forwarded):
         train, test, ood, _ = gen_mixture_2d(79, 100, 50, 80)
         sets = (("train", train), ("test", test), ("ood", ood))
-        real, seen = harness._model_outputs, []
+        real, seen = evaluation._model_outputs, []
 
         def counting(model, features):
             # a block is a view of its set's rows; ViM's calibration
@@ -934,7 +960,7 @@ class TestTrainEval:
                 seen.append(name)
             return real(model, features)
 
-        monkeypatch.setattr(harness, "_model_outputs", counting)
+        monkeypatch.setattr(evaluation, "_model_outputs", counting)
         model = tfm.init_model(2, 1, 1, tfm.Budget(2, 2, 1, 1, 4), 2, seed=1)
         harness.evaluate_model(model, train, test, ood, 2, scorer=scorer)
         assert seen == forwarded
@@ -959,14 +985,14 @@ class TestTrainEval:
 
     def test_not_pd_fallbacks_counted(self, monkeypatch):
         # every post-warmup training batch meets a non-PD class covariance
-        real = harness.grod_augment_batch
+        real = training.grod_augment_batch
 
         def poisoned(f, y, state, cfg, rng):
             if state.initialized:
                 state.cov[1] = -np.eye(state.dim)
             return real(f, y, state, cfg, rng)
 
-        monkeypatch.setattr(harness, "grod_augment_batch", poisoned)
+        monkeypatch.setattr(training, "grod_augment_batch", poisoned)
         cfg = small_config(grod_enabled="true", gamma=0.1, epochs=2)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
         _, _, log = harness.train_model(cfg, 79, train, 2)
@@ -1013,7 +1039,7 @@ class TestTrainEval:
         monkeypatch.setattr(tfm, "adamw_step", poisoning)
         cfg = small_config(grod_enabled="false", gamma=0.0)
         train, _, _, _ = gen_mixture_2d(79, 100, 50, 80)
-        with pytest.raises(harness.TrainingDiverged, match=message):
+        with pytest.raises(training.TrainingDiverged, match=message):
             harness.train_model(cfg, 79, train, 2)
 
     def test_write_json_rejects_non_finite(self, tmp_path):
@@ -1053,7 +1079,7 @@ class TestTrainEval:
         k = 3
         raw = 4.0 * rng.standard_normal((80, k + 1))
         adjusted = post.adjust_logits(raw, k)
-        got = harness._scores("energy", adjusted, raw, None, None, 0.7)
+        got = evaluation._scores("energy", adjusted, raw, None, None, 0.7)
         want = [0.7 * (v.max() + np.log(np.sum(np.exp(v - v.max()))))
                 for v in raw[:, :k] / 0.7]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -1290,7 +1316,7 @@ class TestCli:
                 text=True)
             assert (command, run.returncode, run.stderr) == (command, 0, "")
         assert (tmp_path / "train.csv").stat().st_size >= \
-            2 * harness.PART_BYTES
+            2 * featurefile.PART_BYTES
         assert (tmp_path / "report.json").exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
@@ -1301,6 +1327,30 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: FormatError: --seed")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--seed", "abc", "--out", "{out}"],
+         "FormatError: --seed: expected int, got 'abc'"),
+        (["--seed", "1_0", "--out", "{out}"],
+         "FormatError: --seed: expected int, got '1_0'"),
+        (["--seed", "\u0663", "--out", "{out}"],
+         "FormatError: --seed: expected int, got '\u0663'"),
+        (["--bogus", "--out", "{out}"],
+         "ArgumentError: unrecognized arguments: --bogus"),
+        (["--seed", "1"],
+         "ArgumentError: the following arguments are required: --out")],
+        ids=["seed_word", "seed_underscore", "seed_arabic_digit",
+             "unknown_flag", "missing_out"])
+    def test_usage_errors_are_one_line(self, tmp_path, capsys, args,
+                                       message):
+        # argparse would print its usage and exit 2; a seed that the
+        # config's `seed` rejects is rejected by --seed too
+        out = tmp_path / "out"
+        rc = cli.main(["gen-data", *(a.format(out=out) for a in args)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_seed_from_config_when_flag_absent(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

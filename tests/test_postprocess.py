@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodkit import harness
+from oodkit import evaluation
 from oodkit import postprocess as post
 from oodkit.numerics import sample_covariance, scatter_covariance
 from oodkit.postprocess import (DegenerateFeatures, adjust_logits,
@@ -84,7 +84,7 @@ class TestEnergyScore:
             energy_score(np.array([0.0])[None], 0.0)
 
 
-BLOCK = harness.EVAL_BLOCK_ROWS
+BLOCK = evaluation.EVAL_BLOCK_ROWS
 
 
 def blocks_of(features, logits):

@@ -45,3 +45,8 @@ def test_counter_hooks_fit_the_engine(tmp_path):
     log = json.loads((out / "train_log.json").read_text())
     retained = sum(e["fake_ood_retained"] for e in log["epochs"])
     assert 0 < retained == counters["outliers.survivors"]
+    # the commands call these through harness, which imports them from the
+    # modules that define them: the tracer wraps them where they are called
+    for name in ("harness.read_feature_file", "harness.train_model",
+                 "harness.evaluate_model"):
+        assert payload["stats"][name][0] > 0, name

@@ -6,7 +6,7 @@ import copy
 import numpy as np
 import pytest
 
-from oodkit import harness
+from oodkit import evaluation
 from oodkit import transformer as tfm
 from oodkit.synthdata import FeatureBatch
 
@@ -186,8 +186,8 @@ def predictions(logits):
     model = tfm.init_model(1, 1, 0, tfm.Budget(1, 1, 1, 1, 1), k, seed=0)
     model.params["head.W3"][...] = 0.0
     model.params["head.b4"][...] = np.append(logits, logits.min() - 1.0)
-    preds, _ = harness._score_set(model, FeatureBatch(np.zeros((1, 1)), [1]),
-                                  k, "msp", None, 1.0)
+    preds, _ = evaluation._score_set(
+        model, FeatureBatch(np.zeros((1, 1)), [1]), k, "msp", None, 1.0)
     return preds[0]
 
 
