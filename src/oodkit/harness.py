@@ -132,7 +132,7 @@ class ExperimentConfig:
         typed = {}
         for key, raw in values.items():
             if key not in fields:
-                raise FormatError(f"unknown config key: {key}")
+                raise FormatError(f"unknown config key: {key!r}")
             kind, convert = PARSERS[fields[key]]
             text = str(raw).strip()
             try:

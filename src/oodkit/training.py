@@ -21,9 +21,9 @@ class TrainingDiverged(Exception):
 
 def model_shape(config, width):
     """(depth, budget) of the model trained on `width`-wide features: for
-    task=ingest only the head, on a frozen identity input map (depth 0,
-    d_hat = width, the other budget entries 1); else the config's."""
-    if config.task == "ingest":
+    task=ingest or depth 0 only the head, which reads the features (depth
+    0, d_hat = width, the other budget entries 1); else the config's."""
+    if config.task == "ingest" or config.depth == 0:
         return 0, tfm.Budget(d_hat=width, h=1, m_h=1, m_V=1, r=1)
     return config.depth, tfm.Budget(config.d_hat, config.heads, config.m_h,
                                     config.m_v, config.ff)
@@ -32,9 +32,8 @@ def model_shape(config, width):
 def train_model(config, seed, train_batch, n_id_classes):
     """Fine-tuning loop shared by the 2-d task and the ingestion path, on
     the `model_shape` model with the features' width as input.  Each step
-    joins the gradients into one vector and updates the tail of
-    `model.flat` that it covers; the frozen input map of a head-only model
-    leads the vector and gets no gradient, no step and no decay.
+    joins every parameter's gradient into one vector, in `model.flat`
+    order, and updates all of `model.flat`.
 
     Returns (model, grod_state, log), the model as it is after the last
     configured epoch.  Each log row's `val_quality` is the ID accuracy of
@@ -48,9 +47,6 @@ def train_model(config, seed, train_batch, n_id_classes):
     d_hat0 = train_batch.features.shape[1]
     depth, budget = model_shape(config, d_hat0)
     model = tfm.init_model(d_hat0, tau, depth, budget, k, seed * 7 + 1)
-    head_only = config.task == "ingest"
-    if head_only:    # in place, so the parameters stay views of flat
-        model.params["input.W"][...] = np.eye(d_hat0)
 
     grod_state = (GrodState(n_id_classes=k, dim=budget.d_hat * tau)
                   if config.grod_enabled else None)
@@ -101,11 +97,8 @@ def train_model(config, seed, train_batch, n_id_classes):
                 raise TrainingDiverged(f"epoch {epoch}, batch {n_batches}: "
                                        f"loss not finite")
             grads, dhidden = tfm.head_backward(model, hidden_all, g, dlogits)
-            if not head_only:
-                grads.update(tfm.trunk_backward(model, cache,
-                                                dhidden[:idx.size]))
-            grad = np.concatenate([grads[name].ravel()
-                                   for name in model.params if name in grads])
+            grads.update(tfm.trunk_backward(model, cache, dhidden[:idx.size]))
+            grad = np.concatenate([grads[n].ravel() for n in model.params])
             if use_adamw:
                 tfm.adamw_step(model, grad, opt_state, lr=config.lr,
                                weight_decay=config.weight_decay)

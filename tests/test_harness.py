@@ -888,7 +888,7 @@ class TestTrainEval:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # 0.27 (vim) and 0.24 (msp) measured
+            # 0.19 (vim) and 0.14 (msp) measured
             assert peak / train.features.nbytes <= 0.5, scorer
 
     @pytest.mark.parametrize("scorer", ["msp", "energy"])
@@ -920,7 +920,7 @@ class TestTrainEval:
         assert threshold == pick_threshold(want_scores[0])
 
     def test_eval_perfectly_separable(self):
-        # a head-only identity model on far-apart clusters scores perfectly
+        # a head-only model on far-apart clusters scores perfectly
         rng = np.random.default_rng(0)
         train = FeatureBatch(
             np.vstack([rng.standard_normal((50, 2)) * 0.1 + [10, 0],
@@ -932,7 +932,6 @@ class TestTrainEval:
                            np.full(40, 3))
         budget = tfm.Budget(d_hat=2, h=1, m_h=1, m_V=1, r=1)
         model = tfm.init_model(2, 1, 0, budget, 2, seed=1)
-        model.params["input.W"] = np.eye(2)
         model.params["head.W3"] = np.array([[1.0, 0.0], [0.0, 1.0],
                                             [0.0, 0.0]])
         model.params["head.W4"] = np.ones((3, 1))
@@ -1131,6 +1130,28 @@ class TestSweep:
             texts.append(text.replace(cfg.hash(), "<hash>"))
         assert texts[0] == texts[1]
 
+    def test_depth_zero_trains_the_head_on_the_inputs(self, tmp_path,
+                                                      monkeypatch):
+        real, models = harness.train_model, []
+
+        def recording(config, seed, train, k):
+            model, state, log = real(config, seed, train, k)
+            models.append(model)
+            return model, state, log
+
+        monkeypatch.setattr(harness, "train_model", recording)
+        cfg = small_config(n_train_per_class=40, n_test_per_class=20,
+                           n_ood=20, epochs=1, sweep_depths="0,1",
+                           sweep_seeds="1")
+        rows = harness.cmd_sweep_capacity(cfg, 0, str(tmp_path))
+        assert [r["depth"] for r in rows] == [m.depth for m in models] == [
+            0, 1, 2]
+        assert list(models[0].params) == ["head.W3", "head.b3", "head.W4",
+                                          "head.b4"]
+        assert models[0].budget == tfm.Budget(2, 1, 1, 1, 1)
+        assert all(list(m.params)[:2] == ["input.W", "input.b"]
+                   for m in models[1:])
+
     def test_bad_depth_fails_before_training(self):
         # a negative sweep depth fails when the config loads, naming its
         # key, so no sweep run can start
@@ -1230,6 +1251,17 @@ class TestCli:
                        "--seed", "0", "--out", str(tmp_path)])
         assert rc == 1
         assert "error: FormatError" in capsys.readouterr().err
+
+    def test_unknown_key_shows_invisible_characters(self, tmp_path, capsys):
+        # a UTF-8 byte order mark stays part of the first key
+        cfg_path = tmp_path / "bom.cfg"
+        cfg_path.write_bytes("\ufefftask=ingest\n".encode())
+        rc = cli.main(["gen-data", "--config", str(cfg_path),
+                       "--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: FormatError: unknown config key: '\\ufefftask'"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", [
         "lr=abc", "warmup_batches=abc", "gamma=1.5", "grod_enabled=ture"])
@@ -1438,15 +1470,46 @@ class TestEvalCheckpoint:
     def test_meta_sizes_must_be_ints(self, tmp_path, capsys, key, value):
         # a hand-edited meta: each of these used to load, and some to pass
         # eval or fail in the first forward pass
+        path = self.edited_head_only(tmp_path, {key: value}, {})
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
+
+    @staticmethod
+    def edited_head_only(tmp_path, meta_values, params):
+        """A 2-d, K=2 head-only checkpoint with `meta_values` in its meta
+        and the arrays `params` (name -> array) among its parameters."""
         path = tmp_path / "edited.npz"
         budget = tfm.Budget(d_hat=2, h=1, m_h=1, m_V=1, r=1)
         tfm.save_model(tfm.init_model(2, 1, 0, budget, 2, 0), path)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(bytes(arrays["meta"]).decode())
-        meta[key] = value
+        meta.update(meta_values)
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        arrays.update({f"param::{k}": v for k, v in params.items()})
         np.savez(path, **arrays)
+        return path
+
+    def test_head_only_checkpoint_has_no_input_map(self, tmp_path, capsys):
+        # a head-only model reads its inputs, even through an identity map
+        path = self.edited_head_only(
+            tmp_path, {}, {"input.W": np.eye(2), "input.b": np.zeros(2)})
+        err = self.eval_error(tmp_path, capsys, path)
+        assert err == (f"error: FormatError: {path}: parameter input.W "
+                       f"unexpected")
+
+    def test_depth_zero_width_is_the_input_width(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # d_hat = 3 on 2-wide inputs would need an input map
+        def no_forward(*args):
+            raise AssertionError("forward pass before the checkpoint check")
+
+        monkeypatch.setattr(tfm, "forward_trunk", no_forward)
+        w = np.random.default_rng(0).uniform(-0.1, 0.1, size=(6, 3))
+        path = self.edited_head_only(
+            tmp_path, {"budget": [3, 1, 1, 1, 1]},
+            {"input.W": w[:3, :2], "input.b": np.zeros(3),
+             "head.W3": w[3:]})
         err = self.eval_error(tmp_path, capsys, path)
         assert err == f"error: FormatError: {path}: not an oodkit checkpoint"
 
@@ -1755,31 +1818,30 @@ class TestIngestCommand:
         assert seen == ["train.csv", "test.csv", "ood.csv"]
 
     def test_identity_input_trains_exactly_the_head(self, monkeypatch):
-        # the frozen input map leads model.flat; each step gets the rest
-        real, sizes = tfm.adamw_step, set()
+        # the head-only model is its head, and each step, by either
+        # optimizer, takes a gradient of every entry of model.flat
+        steps = []
+        for name in ("adamw_step", "sgd_step"):
+            def spying(model, grad, *args, real=getattr(tfm, name), **kwargs):
+                steps.append((real.__name__, grad.size, model.flat.size))
+                real(model, grad, *args, **kwargs)
 
-        def spying(model, grad, state, **kwargs):
-            sizes.add(grad.size)
-            real(model, grad, state, **kwargs)
-
-        monkeypatch.setattr(tfm, "adamw_step", spying)
-        cfg = small_config(task="ingest", grod_enabled="false", epochs=1)
+            monkeypatch.setattr(tfm, name, spying)
         rng = np.random.default_rng(5)
         train = FeatureBatch(rng.standard_normal((60, 4)),
                              np.repeat([1, 2], 30))
-        model, _, _ = harness.train_model(cfg, 5, train, 2)
-        assert model.depth == 0 and model.budget == tfm.Budget(4, 1, 1, 1, 1)
-        head = [v for k, v in model.params.items() if k.startswith("head.")]
-        assert list(model.params) == ["input.W", "input.b", "head.W3",
-                                      "head.b3", "head.W4", "head.b4"]
-        size, = sizes
-        trainable = model.flat[model.flat.size - size:]
-        np.testing.assert_array_equal(
-            trainable, np.concatenate([v.ravel() for v in head]))
-        assert all(v.base is model.flat for v in model.params.values())
-        assert size == sum(v.size for v in head)
-        np.testing.assert_array_equal(model.params["input.W"], np.eye(4))
-        assert not model.params["input.b"].any()
+        for optimizer in ("adamw", "sgd"):
+            cfg = small_config(task="ingest", grod_enabled="false", epochs=1,
+                               optimizer=optimizer)
+            model, _, _ = harness.train_model(cfg, 5, train, 2)
+            assert model.depth == 0
+            assert model.budget == tfm.Budget(4, 1, 1, 1, 1)
+            assert list(model.params) == ["head.W3", "head.b3", "head.W4",
+                                          "head.b4"]
+            assert all(v.base is model.flat for v in model.params.values())
+            n = model.flat.size
+            assert set(steps) == {(f"{optimizer}_step", n, n)}
+            steps.clear()
 
     def test_shape_keys_leave_the_checkpoint_unchanged(self, tmp_path):
         # the head-only model takes its shape from the features alone
@@ -1794,20 +1856,3 @@ class TestIngestCommand:
             harness.cmd_ingest(cfg, 1, str(out))
             checkpoints.append((out / "checkpoint.npz").read_bytes())
         assert checkpoints[0] == checkpoints[1]
-
-    def test_input_map_stays_identity(self, tmp_path):
-        # the frozen input map gets neither gradient steps nor weight decay
-        cfg = ExperimentConfig.parse({"task": "ingest", "classes": 4,
-                                      "dim": 16, "n_per_class": 60,
-                                      "epochs": 3, "lr": 0.01,
-                                      "weight_decay": 0.5, "scorer": "msp"})
-        for optimizer in ("adamw", "sgd"):
-            out = tmp_path / optimizer
-            harness.cmd_gen_data(cfg, 3, str(out))
-            harness.cmd_ingest(dataclasses.replace(cfg, optimizer=optimizer),
-                               3, str(out))
-            model = tfm.load_model(out / "checkpoint.npz")
-            assert model.depth == 0 and model.budget.d_hat == 16
-            np.testing.assert_array_equal(model.params["input.W"], np.eye(16))
-            np.testing.assert_array_equal(model.params["input.b"],
-                                          np.zeros(16))

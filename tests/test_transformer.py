@@ -233,8 +233,7 @@ def adamw_oracle(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999,
 
 def flat_grad(model, grads):
     """The gradients in grads as one vector in the model's flat order."""
-    return np.concatenate([grads[k].ravel() for k in model.params
-                           if k in grads])
+    return np.concatenate([grads[k].ravel() for k in model.params])
 
 
 class TestOptimizers:
@@ -273,22 +272,6 @@ class TestOptimizers:
             runs.append(model.flat.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
-    def test_steps_leave_params_without_grads_untouched(self):
-        # weight decay must not move the frozen leading input map
-        for step in ("sgd", "adamw"):
-            model = small_model(20)
-            before = {k: v.copy() for k, v in model.params.items()}
-            n_in = model.params["input.W"].size + model.params["input.b"].size
-            grad = np.full(model.flat.size - n_in, 0.01)
-            if step == "sgd":
-                tfm.sgd_step(model, grad, lr=0.1, weight_decay=0.5)
-            else:
-                tfm.adamw_step(model, grad, tfm.adamw_init(model), lr=0.1,
-                               weight_decay=0.5)
-            for k in before:
-                moved = not np.array_equal(model.params[k], before[k])
-                assert moved == (not k.startswith("input.")), (step, k)
-
     def test_params_are_views_of_the_flat_vector_in_order(self):
         model = small_model(21)
         assert model.flat.shape == (sum(v.size for v in
@@ -309,9 +292,9 @@ class TestOptimizers:
                     if name.split(".")[1].startswith("W") else np.zeros(shape))
             np.testing.assert_array_equal(model.params[name], want)
 
-    @pytest.mark.parametrize("frozen", [(), ("input.W", "input.b")])
-    @pytest.mark.parametrize("step", ["sgd", "adamw"])
-    def test_flat_update_bitwise_equal_to_per_name_loop(self, step, frozen):
+    @pytest.mark.parametrize("step", ["sgd", "adamw"],
+                             ids=["sgd-frozen0", "adamw-frozen0"])
+    def test_flat_update_bitwise_equal_to_per_name_loop(self, step):
         model = small_model(23)
         params = {k: v.copy() for k, v in model.params.items()}
         state = tfm.adamw_init(model)
@@ -320,8 +303,8 @@ class TestOptimizers:
                              for key in ("m", "v")}}
         rng = np.random.default_rng(23)
         for _ in range(50):
-            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()
-                     if k not in frozen}
+            grads = {k: rng.standard_normal(v.shape)
+                     for k, v in params.items()}
             if step == "sgd":
                 tfm.sgd_step(model, flat_grad(model, grads), lr=0.05,
                              weight_decay=0.1)
@@ -333,17 +316,61 @@ class TestOptimizers:
                              weight_decay=0.1)
         for k, value in params.items():
             np.testing.assert_array_equal(model.params[k], value)
-        n_frozen = sum(params[k].size for k in frozen)
-        np.testing.assert_array_equal(model.flat[:n_frozen],
-                                      small_model(23).flat[:n_frozen])
         if step == "adamw":
             assert state.t == oracle["t"] == 50
             np.testing.assert_array_equal(state.m, flat_grad(model,
                                                              oracle["m"]))
             np.testing.assert_array_equal(state.v, flat_grad(model,
                                                              oracle["v"]))
-            assert not state.m[:n_frozen].any()
-            assert not state.v[:n_frozen].any()
+
+
+HEAD_NAMES = ["head.W3", "head.b3", "head.W4", "head.b4"]
+
+
+def head_only_model(seed, tau):
+    return tfm.init_model(2, tau, 0, tfm.Budget(2, 1, 1, 1, 1), 2, seed)
+
+
+class TestDepthZero:
+    """A depth-0 model is its head, reading the inputs directly."""
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_hidden_is_the_input(self, tau):
+        model = head_only_model(25, tau)
+        assert list(model.params) == HEAD_NAMES
+        x = np.random.default_rng(25).standard_normal((3, 2, tau))
+        hidden, _ = tfm.forward_trunk(model, x)
+        want = x if tau == 1 else x + tfm.positional_encoding(2, tau)
+        np.testing.assert_array_equal(hidden, want)
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_matches_finite_differences(self, tau):
+        model = head_only_model(26, tau)
+        rng = np.random.default_rng(26 + tau)
+        x = 3.0 * rng.standard_normal((3, 2, tau))
+        dlogits = rng.standard_normal((3, model.n_classes))
+        hidden, cache = tfm.forward_trunk(model, x)
+        assert tfm.trunk_backward(model, cache, np.ones_like(hidden)) == {}
+        analytic = full_backward(model, x, dlogits)
+        assert sorted(analytic) == sorted(HEAD_NAMES)
+        numeric = finite_difference_grads(model, x, dlogits)
+        assert max_relative_error(analytic, numeric) <= 1e-4
+
+    def test_head_draws_follow_a_skipped_input_map_block(self):
+        budget = tfm.Budget(d_hat=3, h=1, m_h=1, m_V=1, r=1)
+        model = tfm.init_model(3, 2, 0, budget, 2, seed=27)
+        rng = np.random.Generator(np.random.Philox(27))
+        rng.uniform(-0.1, 0.1, size=(3, 3))
+        for name in ("head.W3", "head.W4"):
+            want = rng.uniform(-0.1, 0.1, size=model.params[name].shape)
+            np.testing.assert_array_equal(model.params[name], want)
+        assert not model.params["head.b3"].any()
+        assert not model.params["head.b4"].any()
+
+    def test_width_must_be_the_input_width(self):
+        # without an input map, d_hat is d_hat0
+        with pytest.raises(ValueError, match="depth 0 needs d_hat"):
+            tfm.init_model(2, 1, 0, tfm.Budget(3, 1, 1, 1, 1), 2, seed=0)
 
 
 class TestCheckpoint:
