@@ -163,13 +163,15 @@ def _label(text):
 
 
 def _parse_rows(lines, dim):
-    """(n, dim+1) float table of feature rows: cells by numpy's C float
-    parser, the label by `_label` (so `2.0` is rejected).  Both passes of
-    `read_feature_file` parse with this one call, so they accept one
-    grammar.  Empty lines are skipped here; the callers reject them."""
-    with warnings.catch_warnings():    # no data lines: the shape check fails
+    """One record per feature row: `x` its dim float64 cells by numpy's C
+    float parser, `y` its int64 label by `_label` (so `2.0` is rejected); a
+    row without dim+1 fields fails.  Both passes of `read_feature_file`
+    parse with this one call, so they accept one grammar.  Empty lines are
+    skipped here; the callers reject them."""
+    with warnings.catch_warnings():    # no data lines: the row count fails
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                          dtype=[("x", float, (dim,)), ("y", np.int64)],
                           converters={dim: _label})
 
 
@@ -269,18 +271,17 @@ def _row_ranges(fd):
 
 def _send_parsed(fd, start, end, dim, pipe):
     """A worker's result for one range: status (0 parsed, 1 rejected), line
-    count and table shape as four int64 words, then the table's float64
-    bytes."""
+    count and row count as three int64 words, then the records' bytes."""
     try:
         with _open_range(fd, start, end) as fh:
             table, n_lines = _parse_lines(fh, dim)
     except UnicodeDecodeError:    # the whole-file pass names it
         table, n_lines = None, 0
     if table is None:
-        pipe.write(np.array([1, n_lines, 0, 0], np.int64).tobytes())
+        pipe.write(np.array([1, n_lines, 0], np.int64).tobytes())
         return
-    pipe.write(np.array([0, n_lines, *table.shape], np.int64).tobytes())
-    pipe.write(np.ascontiguousarray(table).data)
+    pipe.write(np.array([0, n_lines, len(table)], np.int64).tobytes())
+    pipe.write(table.data)
 
 
 def _recv(path, pid, pipe, out):
@@ -312,26 +313,22 @@ def read_feature_file(path):
                               for a, b in rest]) as workers:
                     table, n_lines = _parse_lines(fh, dim)
                     # each worker's head, as `_send_parsed` sends it
-                    status, n, n_rows, width = np.array(
-                        [_recv(path, pid, pipe, np.zeros(4, np.int64))
-                         for pid, pipe in workers], np.int64).reshape(-1, 4).T
+                    status, n, n_rows = np.array(
+                        [_recv(path, pid, pipe, np.zeros(3, np.int64))
+                         for pid, pipe in workers], np.int64).reshape(-1, 3).T
                     n_lines += int(n.sum())
-                    ok = (table is not None and not status.any()
-                          and (table.shape[1] == dim + 1 or not table.shape[0])
-                          and (width == dim + 1).all())
+                    ok = table is not None and not status.any()
                     if ok and workers:    # sized from the parsed row counts
-                        ends = table.shape[0] + np.cumsum(n_rows)
-                        joined = np.empty((ends[-1], dim + 1))
-                        joined[:table.shape[0]] = table
+                        ends = len(table) + np.cumsum(n_rows)
+                        joined = np.empty(ends[-1], table.dtype)
+                        joined[:len(table)] = table
                         for (pid, pipe), a, b in zip(workers, ends - n_rows,
                                                      ends):
                             _recv(path, pid, pipe, joined[a:b])
                         table = joined
-            if (not ok or n_lines != rows
-                    or table.shape != (rows, dim + 1)
-                    or not np.all((table[:, dim] >= 1)
-                                  & (table[:, dim] <= k + 1))
-                    or not np.isfinite(table[:, :dim]).all()):
+            if (not ok or n_lines != rows or len(table) != rows
+                    or not np.all((table["y"] >= 1) & (table["y"] <= k + 1))
+                    or not np.isfinite(table["x"]).all()):
                 _raise_bad_row(path, fd, dim, k, rows)
         finally:
             os.close(fd)
@@ -340,8 +337,8 @@ def read_feature_file(path):
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     # contiguous rows: every later matmul sees one memory layout
-    return synthdata.FeatureBatch(np.ascontiguousarray(table[:, :dim]),
-                                  table[:, dim].astype(int)), k
+    return synthdata.FeatureBatch(np.ascontiguousarray(table["x"]),
+                                  np.ascontiguousarray(table["y"])), k
 
 
 def _raise_bad_row(path, fd, dim, k, rows):
@@ -367,10 +364,10 @@ def _raise_bad_row(path, fd, dim, k, rows):
                 row = _parse_rows([line], dim)
             except ValueError as exc:
                 raise FormatError(f"{path}:{i}: unparsable row") from exc
-            if not 1 <= row[0, dim] <= k + 1:
-                raise FormatError(f"{path}:{i}: label {int(row[0, dim])} out "
-                                  f"of range 1..{k + 1}")
-            if non_finite is None and not np.isfinite(row[0, :dim]).all():
+            if not 1 <= row["y"][0] <= k + 1:
+                raise FormatError(f"{path}:{i}: label {row['y'][0]} out of "
+                                  f"range 1..{k + 1}")
+            if non_finite is None and not np.isfinite(row["x"]).all():
                 non_finite = i
     if non_finite is not None:
         raise FormatError(f"{path}:{non_finite}: non-finite value")

@@ -55,8 +55,8 @@ CHOICES = {"task": ("mixture2d", "ingest"), "optimizer": ("adamw", "sgd"),
 class ExperimentConfig:
     """One field per config key.  `parse`/`from_file` read the raw strings
     once; `__post_init__` checks the ranges.  The outlier engine reads its
-    hyperparameters from this config.  The hash reads the values as
-    written."""
+    hyperparameters from this config.  The hash reads the typed fields, so
+    configs that compare equal hash equal."""
 
     task: str = "mixture2d"
     seed: int = 0
@@ -122,7 +122,6 @@ class ExperimentConfig:
                 raise FormatError(f"{key} must not be empty")
             if any(v < 0 for v in getattr(self, key)):
                 raise FormatError(f"{key} must be >= 0")
-        object.__setattr__(self, "_raw", {})
 
     @classmethod
     def parse(cls, values):
@@ -144,9 +143,7 @@ class ExperimentConfig:
             except (KeyError, ValueError):
                 raise FormatError(f"{key}: expected {kind}, "
                                   f"got {raw!r}") from None
-        config = cls(**typed)
-        object.__setattr__(config, "_raw", dict(values))
-        return config
+        return cls(**typed)
 
     @classmethod
     def from_file(cls, path):
@@ -171,11 +168,10 @@ class ExperimentConfig:
         return cls.parse(values)
 
     def canonical(self):
-        """Sorted `key=value` lines: each value as given to `parse`, else
-        the typed value (a tuple joined by commas)."""
+        """Sorted `key=value` lines of the typed values (a tuple joined by
+        commas), whatever text they were parsed from."""
         values = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
                   for k, v in dataclasses.asdict(self).items()}
-        values.update(self._raw)
         return "\n".join(f"{k}={values[k]}" for k in sorted(values))
 
     def hash(self):

@@ -160,12 +160,18 @@ class TestExperimentConfig:
             assert ExperimentConfig.parse(
                 {"grod_enabled": word}).grod_enabled is value
 
-    def test_raw_values_hashed(self):
-        # the hash reads the values as written, not as parsed
+    def test_parsed_values_hashed(self):
+        # the hash reads the values as parsed, not as written
         assert ExperimentConfig().hash() == "50ed71bbab0b51a1"
         assert ExperimentConfig.parse({"epochs": "3", "grod_enabled": "false",
                                        "lr": "0.005"}).hash() == \
-            "fdb22c96aaadeba4"
+            "26a490a6c574c315"
+        first = ExperimentConfig.parse({"lr": "0.005", "grod_enabled": "true"})
+        equal = [ExperimentConfig.parse({"lr": "5e-3", "grod_enabled": "yes"}),
+                 dataclasses.replace(first), ExperimentConfig(lr=0.005)]
+        for config in equal:
+            assert config == first
+            assert config.hash() == first.hash() == "f57bcd061f9cafe4"
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -636,6 +642,20 @@ class TestFeatureFileOracle:
                 FormatError, match=rf"^{path}:5: unparsable row$"):
             read_feature_file(path)
 
+    # A label beyond int64 is no label: it names its line, not a number
+    # that the file does not hold.
+    @pytest.mark.parametrize("n_ranges", [1, 2], ids=["1range", "2ranges"])
+    @pytest.mark.parametrize("text", ["9223372036854775808",
+                                      "99999999999999999999"],
+                             ids=["int64_max_plus_one", "twenty_nines"])
+    def test_label_beyond_int64_names_the_line(self, tmp_path, text,
+                                               n_ranges):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(mutated(label(5, text))) + "\n")
+        with split_into(n_ranges), pytest.raises(
+                FormatError, match=rf"^{path}:5: unparsable row$"):
+            read_feature_file(path)
+
     def test_unicode_line_breaks_stay_inside_the_line(self, tmp_path):
         # str.splitlines also breaks at \f, \v, \x1c-\x1e, \x85, \u2028
         # and \u2029, so the per-row reader split such a row in two; lines
@@ -748,6 +768,24 @@ class TestRowRanges:
         with split_into(2), pytest.raises(
                 FormatError, match=rf"^{path}:7: unparsable row$"):
             read_feature_file(path)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("last,n_fields", [("0.25,1,1,1,1", 5),
+                                               ("0.25,1,1", 3)],
+                             ids=["5fields", "3fields"])
+    def test_wrong_field_count_in_a_workers_range(self, tmp_path, last,
+                                                  n_fields):
+        path = tmp_path / "f.csv"
+        path.write_text(f"dim=3,classes=2,rows=2\n0.5,1.0,2.0,1\n{last}\n")
+        data = path.read_bytes()
+        with split_into(2):
+            with open(path, "rb") as fh:
+                _, (start, end) = featurefile._row_ranges(fh.fileno())
+            assert data[start:end] == f"{last}\n".encode()    # line 3 only
+            with pytest.raises(FormatError,
+                               match=rf"^{path}:3: expected 4 fields, "
+                                     rf"got {n_fields}$"):
+                read_feature_file(path)
         assert_no_child_left()
 
 
